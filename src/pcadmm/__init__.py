@@ -23,6 +23,7 @@ from .matrices import (
     build_p,
     build_q,
     check_skew,
+    h_norm,
     split_stacked,
     stack_blocks,
     verify_framework,
@@ -81,7 +82,6 @@ from .solver import (
     StopReason,
     contraction_check,
     run,
-    xi_distance,
 )
 
 __version__ = "0.1.0"

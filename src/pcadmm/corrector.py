@@ -7,8 +7,9 @@ correction matrix: with d_i = a_i - a~_i and d_lam = lam - lam~,
     lam'  = lam + nu*beta*d_1 - d_lam          primal-first variant
     lam'  = lam + beta*sum_i d_i - d_lam       multiplier-first variant
 
-so one correction costs only a handful of vector additions.  The
-matrix form lives in :mod:`pcadmm.matrices` for verification.
+so one correction costs only a handful of vector additions on the
+(p, m) aggregate array.  The matrix form lives in
+:mod:`pcadmm.matrices` for verification.
 """
 
 from __future__ import annotations
@@ -18,43 +19,30 @@ from .model import IterateState, PredictorState
 __all__ = ["correct_pd", "correct_dp"]
 
 
-def _deltas(state, pred):
-    if len(state.a) != len(pred.a_tilde):
-        raise ValueError(f"state has {len(state.a)} aggregates, predictor {len(pred.a_tilde)}")
-    for i, (ai, ati) in enumerate(zip(state.a, pred.a_tilde)):
-        if ai.shape != ati.shape:
-            raise ValueError(f"aggregate {i}: shapes {ai.shape} and {ati.shape} differ")
-    if state.lam.shape != pred.lambda_tilde.shape:
-        raise ValueError("multiplier shapes differ")
-    d = [ai - ati for ai, ati in zip(state.a, pred.a_tilde)]
-    return d, state.lam - pred.lambda_tilde
-
-
-def _corrected_aggregates(state, d, nu):
-    p = len(d)
-    out = []
-    for i in range(p):
-        ai = state.a[i] - nu * d[i]
-        if i + 1 < p:
-            ai = ai + nu * d[i + 1]
-        out.append(ai)
-    return out
+def _correct_aggregates(state, pred, nu):
+    """The directions d = a - a~ and d_lam = lam - lam~, and the
+    corrected aggregates."""
+    if state.a.shape != pred.a_tilde.shape or state.lam.shape != pred.lambda_tilde.shape:
+        raise ValueError(
+            f"state shapes {state.a.shape}, {state.lam.shape} differ from "
+            f"predictor shapes {pred.a_tilde.shape}, {pred.lambda_tilde.shape}"
+        )
+    d = state.a - pred.a_tilde
+    a_new = state.a - nu * d
+    a_new[:-1] += nu * d[1:]
+    return d, state.lam - pred.lambda_tilde, a_new
 
 
 def correct_pd(state: IterateState, pred: PredictorState, nu: float, beta: float) -> IterateState:
     """Correction for the primal-first variant; the multiplier row
     couples only to the first block's direction, scaled by nu*beta."""
-    d, d_lam = _deltas(state, pred)
-    a_new = _corrected_aggregates(state, d, nu)
-    lam_new = state.lam + nu * beta * d[0] - d_lam
-    return IterateState(tuple(a_new), lam_new)
+    d, d_lam, a_new = _correct_aggregates(state, pred, nu)
+    return IterateState(a_new, state.lam + nu * beta * d[0] - d_lam)
 
 
 def correct_dp(state: IterateState, pred: PredictorState, nu: float, beta: float) -> IterateState:
     """Correction for the multiplier-first variant; the multiplier row
     sums the directions of all blocks with coefficient beta (not
     nu*beta)."""
-    d, d_lam = _deltas(state, pred)
-    a_new = _corrected_aggregates(state, d, nu)
-    lam_new = state.lam + beta * sum(d) - d_lam
-    return IterateState(tuple(a_new), lam_new)
+    d, d_lam, a_new = _correct_aggregates(state, pred, nu)
+    return IterateState(a_new, state.lam + beta * d.sum(axis=0) - d_lam)

@@ -32,6 +32,7 @@ __all__ = [
     "build_q",
     "build_m",
     "build_h",
+    "h_norm",
     "build_g",
     "build_framework",
     "verify_framework",
@@ -193,6 +194,25 @@ def build_h(variant: str, p: int, m: int, nu: float) -> np.ndarray:
     return np.block([[llt, np.zeros((p * m, m))], [np.zeros((m, p * m)), eye_m]])
 
 
+def h_norm(variant: str, nu: float, beta: float, da, dlam) -> float:
+    """||xi||_H for the xi of aggregates ``da`` (p, m) and multiplier
+    ``dlam``, in O(pm) without forming H.
+
+    With u = sqrt(beta) da, w = dlam / sqrt(beta) and suf the suffix
+    sums of the rows of u (suf = L'u), ||xi||_H^2 is
+    ||suf||^2/nu + ||suf_1 + w||^2 for the primal-first variant and
+    ||suf||^2/nu + ||w||^2 for the multiplier-first one.
+    """
+    _check_variant(variant)
+    _check_nu(nu)
+    sq = np.sqrt(beta)
+    suf = np.cumsum(sq * np.asarray(da, dtype=float)[::-1], axis=0)[::-1]
+    w = np.asarray(dlam, dtype=float) / sq
+    if variant == "pd":
+        w = suf[0] + w
+    return float(np.sqrt(np.sum(suf * suf) / nu + w @ w))
+
+
 def _closed_form_g(variant, p, m, nu):
     eye_m = np.eye(m)
     if variant == "pd":
@@ -309,8 +329,6 @@ def check_skew(problem: SeparableProblem, w1, w2) -> float:
 
 def xi_from_aggregates(a, lam, beta) -> np.ndarray:
     """Scaled-aggregate coordinates (sqrt(beta) a_1, ..., lam/sqrt(beta))
-    built straight from the aggregates."""
+    built straight from the (p, m) aggregates."""
     sq = np.sqrt(beta)
-    parts = [sq * np.asarray(ai, dtype=float) for ai in a]
-    parts.append(np.asarray(lam, dtype=float) / sq)
-    return np.concatenate(parts)
+    return np.concatenate([sq * np.asarray(a, dtype=float).ravel(), np.asarray(lam, dtype=float) / sq])

@@ -21,6 +21,7 @@ reported solution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -64,6 +65,21 @@ def _as_vector(v, name="vector"):
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    return arr
+
+
+def _finite(x):
+    # x.x is non-finite whenever an entry is, so a finite x.x settles it
+    # cheaply; otherwise (a non-finite entry, or x.x overflowing) the
+    # entrywise test decides.
+    return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
+
+
+def _as_aggregates(a, name):
+    """The aggregates A_i x_i as one (p, m) array, row i for block i."""
+    arr = np.asarray(a, dtype=float)
+    if arr.ndim != 2:
+        raise ValueError(f"{name} must be a (p, m) array, got shape {arr.shape}")
     return arr
 
 
@@ -194,31 +210,32 @@ class SeparableProblem:
 class IterateState:
     """Recursion state: the aggregates A_i x_i and the multiplier.
 
-    This is the full state the correction step recurses on; primal
-    points are not stored because the corrected aggregates need not be
-    the image of any primal point.
+    ``a`` is a (p, m) array whose row i is A_i x_i.  This is the full
+    state the correction step recurses on; primal points are not stored
+    because the corrected aggregates need not be the image of any
+    primal point.
     """
 
-    a: tuple
+    a: np.ndarray
     lam: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(np.asarray(ai, dtype=float) for ai in self.a))
+        object.__setattr__(self, "a", _as_aggregates(self.a, "a"))
         object.__setattr__(self, "lam", _as_vector(self.lam, "lam"))
 
 
 @dataclass(frozen=True)
 class PredictorState:
-    """Output of one prediction sweep: primal blocks, their aggregates,
-    and the predicted multiplier."""
+    """Output of one prediction sweep: primal blocks, their aggregates
+    as a (p, m) array, and the predicted multiplier."""
 
     x_tilde: tuple
-    a_tilde: tuple
+    a_tilde: np.ndarray
     lambda_tilde: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "x_tilde", tuple(np.asarray(x, dtype=float) for x in self.x_tilde))
-        object.__setattr__(self, "a_tilde", tuple(np.asarray(a, dtype=float) for a in self.a_tilde))
+        object.__setattr__(self, "a_tilde", _as_aggregates(self.a_tilde, "a_tilde"))
         object.__setattr__(self, "lambda_tilde", _as_vector(self.lambda_tilde, "lambda_tilde"))
 
 
@@ -251,8 +268,10 @@ class SolverConfig:
             raise ValueError("nu must lie in (0,1)")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.tol < 0 or self.inner_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
+        if self.tol < 0:
+            raise ValueError("tol must be nonnegative")
+        if not self.inner_tol > 0:
+            raise ValueError("inner_tol must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +283,13 @@ def validate_problem(problem: SeparableProblem) -> list:
 
     Returns a list of human-readable messages, one per violation; an
     empty list means the problem is well formed.  Nothing is raised, so
-    callers can report all defects at once.
+    callers can report all defects at once.  Every data entry must be
+    finite, except that box bounds may be infinite (but not NaN).
     """
     out = []
     m = problem.m
+    if not _finite(problem.b):
+        out.append("b has non-finite entries")
     for i, blk in enumerate(problem.blocks):
         if blk.A.shape[0] != m:
             out.append(f"block {i}: A has wrong row count ({blk.A.shape[0]} != {m})")
@@ -275,16 +297,24 @@ def validate_problem(problem: SeparableProblem) -> list:
             out.append(f"block {i}: dimension must be at least 1")
         if blk.A.shape[1] != blk.n:
             out.append(f"block {i}: A has {blk.A.shape[1]} columns but n={blk.n}")
+        if not _finite(blk.A):
+            out.append(f"block {i}: A has non-finite entries")
         th = blk.theta
         if isinstance(th, Quadratic):
             if th.H.shape != (blk.n, blk.n):
                 out.append(f"block {i}: quadratic H has shape {th.H.shape}, expected {(blk.n, blk.n)}")
-            elif np.max(np.abs(th.H - th.H.T)) > _SYM_TOL:
+            elif not _finite(th.H):
+                out.append(f"block {i}: quadratic H has non-finite entries")
+            elif abs(th.H - th.H.T).max() > _SYM_TOL:
                 out.append(f"block {i}: quadratic H is not symmetric")
             if th.c.shape != (blk.n,):
                 out.append(f"block {i}: quadratic c has length {th.c.size}, expected {blk.n}")
+            elif not _finite(th.c):
+                out.append(f"block {i}: quadratic c has non-finite entries")
         elif isinstance(th, WeightedL1):
-            if th.tau < 0:
+            if not math.isfinite(th.tau):
+                out.append(f"block {i}: l1 weight is not finite")
+            elif th.tau < 0:
                 out.append(f"block {i}: l1 weight must be nonnegative")
         elif isinstance(th, Custom):
             if not callable(th.value) or not callable(th.solve):
@@ -295,8 +325,8 @@ def validate_problem(problem: SeparableProblem) -> list:
         if isinstance(st, Box):
             if st.lo.shape != (blk.n,) or st.hi.shape != (blk.n,):
                 out.append(f"block {i}: box bounds do not match dimension {blk.n}")
-            elif np.any(st.lo > st.hi):
-                out.append(f"block {i}: box has lo > hi")
+            elif not (st.lo <= st.hi).all():
+                out.append(f"block {i}: box has lo > hi or a NaN bound")
         elif not isinstance(st, (Free, NonNeg)):
             out.append(f"block {i}: unknown set {type(st).__name__}")
     return out
@@ -340,22 +370,19 @@ def lagrangian_value(problem: SeparableProblem, x, lam) -> float:
 def feasibility_residual(problem: SeparableProblem, a, lam):
     """Constraint and complementarity residuals from aggregates.
 
-    ``a`` holds the per-block aggregates A_i x_i.  For the equality
-    sense the result is (||r||_2, 0) with r = sum_i a_i - b.  For the
-    inequality sense the primal residual measures only the violated
-    part, min(r, 0), and the complementarity residual is the larger of
-    |lam'r| and the norm of the negative part of lam.
+    ``a`` holds the aggregates A_i x_i as a (p, m) array.  For the
+    equality sense the result is (||r||_2, 0) with r = sum_i a_i - b.
+    For the inequality sense the primal residual measures only the
+    violated part, min(r, 0), and the complementarity residual is the
+    larger of |lam'r| and the norm of the negative part of lam.
     """
-    if len(a) != problem.p:
-        raise ValueError(f"expected {problem.p} aggregates, got {len(a)}")
-    a = [_as_vector(ai, f"a[{i}]") for i, ai in enumerate(a)]
-    for i, ai in enumerate(a):
-        if ai.size != problem.m:
-            raise ValueError(f"a[{i}] has length {ai.size}, expected {problem.m}")
+    a = _as_aggregates(a, "a")
+    if a.shape != (problem.p, problem.m):
+        raise ValueError(f"aggregates have shape {a.shape}, expected {(problem.p, problem.m)}")
     lam = _as_vector(lam, "lam")
     if lam.size != problem.m:
         raise ValueError(f"lam has length {lam.size}, expected {problem.m}")
-    r = sum(a) - problem.b
+    r = a.sum(axis=0) - problem.b
     if problem.sense == EQ:
         return float(np.linalg.norm(r)), 0.0
     primal = float(np.linalg.norm(np.minimum(r, 0.0)))

@@ -34,7 +34,7 @@ def _sweep_blocks(problem, state, lam, beta, inner_tol, warm_start):
     v_i = a_i - sum_{j<i}(a~_j - a_j) + lam/beta, which only needs the
     aggregates, never the raw primal blocks.
     """
-    x_tilde, a_tilde = [], []
+    x_tilde, a_tilde = [], np.empty_like(state.a)
     drift = np.zeros(problem.m)
     shift = lam / beta
     for i, blk in enumerate(problem.blocks):
@@ -53,16 +53,14 @@ def _sweep_blocks(problem, state, lam, beta, inner_tol, warm_start):
         except (SingularSystemError, NonConvergenceError) as e:
             raise type(e)(f"block {i}: {e}") from e
         x_tilde.append(xi)
-        a_tilde.append(ai)
+        a_tilde[i] = ai
         drift = drift + (ai - state.a[i])
     return x_tilde, a_tilde
 
 
 def _check_state(problem, state):
-    if len(state.a) != problem.p:
-        raise ValueError(f"state has {len(state.a)} aggregates, expected {problem.p}")
-    if state.lam.size != problem.m:
-        raise ValueError(f"state multiplier has length {state.lam.size}, expected {problem.m}")
+    if state.a.shape != (problem.p, problem.m) or state.lam.shape != (problem.m,):
+        raise ValueError(f"state shapes {state.a.shape}, {state.lam.shape} do not fit p={problem.p}, m={problem.m}")
 
 
 def predict_pd(
@@ -79,9 +77,9 @@ def predict_pd(
     """
     _check_state(problem, state)
     x_tilde, a_tilde = _sweep_blocks(problem, state, state.lam, beta, inner_tol, warm_start)
-    residual = sum(a_tilde) - problem.b
+    residual = a_tilde.sum(axis=0) - problem.b
     lam_tilde = solve_lambda_subproblem(state.lam, residual, beta, problem.sense)
-    return PredictorState(tuple(x_tilde), tuple(a_tilde), lam_tilde)
+    return PredictorState(tuple(x_tilde), a_tilde, lam_tilde)
 
 
 def predict_dp(
@@ -97,7 +95,7 @@ def predict_dp(
     block moves, and every block solve then sees the fresh multiplier.
     """
     _check_state(problem, state)
-    residual = sum(state.a) - problem.b
+    residual = state.a.sum(axis=0) - problem.b
     lam_tilde = solve_lambda_subproblem(state.lam, residual, beta, problem.sense)
     x_tilde, a_tilde = _sweep_blocks(problem, state, lam_tilde, beta, inner_tol, warm_start)
-    return PredictorState(tuple(x_tilde), tuple(a_tilde), lam_tilde)
+    return PredictorState(tuple(x_tilde), a_tilde, lam_tilde)

@@ -83,15 +83,15 @@ def _is_linear_quadratic(theta):
 def solve_block_subproblem(req: SubproblemRequest, inner_tol: float, x0=None):
     """Solve one block subproblem; returns ``(x, A @ x)``.
 
-    Dispatch:
+    Dispatch, in this order:
 
+    * custom atoms delegate to their own solver;
+    * soft-threshold / projection closed forms when ``ortho_scaled``
+      and the objective is an l1 atom, zero, or purely linear;
     * quadratic objective, free set: exact solve of the normal
       equations ``(H + beta A'A) x = beta A'v - c`` (raises
       :class:`SingularSystemError` when the matrix is not positive
       definite);
-    * soft-threshold / projection closed forms when ``ortho_scaled``
-      and the objective is an l1 atom, zero, or purely linear;
-    * custom atoms delegate to their own solver;
     * anything else runs a projected-gradient loop from ``x0`` until
       the gradient-map norm is safely below ``inner_tol``.
 
@@ -103,15 +103,6 @@ def solve_block_subproblem(req: SubproblemRequest, inner_tol: float, x0=None):
 
     if isinstance(theta, Custom):
         x = np.asarray(theta.solve(req, inner_tol, x0), dtype=float)
-        return x, A @ x
-
-    if isinstance(theta, Quadratic) and isinstance(req.set, Free) and theta.H.any():
-        S = theta.H + beta * (A.T @ A)
-        try:
-            np.linalg.cholesky(S)
-        except np.linalg.LinAlgError:
-            raise SingularSystemError("normal matrix H + beta*A'A is singular") from None
-        x = np.linalg.solve(S, beta * (A.T @ v) - theta.c)
         return x, A @ x
 
     if req.ortho_scaled and (isinstance(theta, (WeightedL1, Zero)) or _is_linear_quadratic(theta)):
@@ -130,12 +121,11 @@ def solve_block_subproblem(req: SubproblemRequest, inner_tol: float, x0=None):
         return x, A @ x
 
     if isinstance(theta, Quadratic) and isinstance(req.set, Free):
-        # H == 0 without the ortho shortcut: still a plain linear solve.
-        S = beta * (A.T @ A)
+        S = theta.H + beta * (A.T @ A)
         try:
             np.linalg.cholesky(S)
         except np.linalg.LinAlgError:
-            raise SingularSystemError("normal matrix beta*A'A is singular") from None
+            raise SingularSystemError("normal matrix H + beta*A'A is singular") from None
         x = np.linalg.solve(S, beta * (A.T @ v) - theta.c)
         return x, A @ x
 

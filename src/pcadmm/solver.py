@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .corrector import correct_dp, correct_pd
-from .matrices import build_g, build_h, xi_from_aggregates
+from .matrices import build_g, build_h, h_norm, xi_from_aggregates
 from .model import (
     IterateState,
     PredictorState,
@@ -46,7 +46,6 @@ __all__ = [
     "MissingReferenceError",
     "run",
     "contraction_check",
-    "xi_distance",
 ]
 
 CONVERGED = "converged"
@@ -129,18 +128,16 @@ class RunResult(NamedTuple):
 
 def _reference_pair(reference):
     if hasattr(reference, "a") and hasattr(reference, "lam"):
-        return reference.a, reference.lam
+        reference = reference.a, reference.lam
     a_ref, lam_ref = reference
-    return a_ref, lam_ref
+    return np.asarray(a_ref, dtype=float), np.asarray(lam_ref, dtype=float)
 
 
 def _initial_state(problem, init):
     if init is None:
-        a0 = tuple(np.zeros(problem.m) for _ in problem.blocks)
-        return IterateState(a0, np.zeros(problem.m))
+        return IterateState(np.zeros((problem.p, problem.m)), np.zeros(problem.m))
     x0, lam0 = init
-    a0 = tuple(blk.A @ np.asarray(xi, dtype=float) for blk, xi in zip(problem.blocks, x0))
-    return IterateState(a0, np.asarray(lam0, dtype=float))
+    return IterateState([blk.A @ np.asarray(xi, dtype=float) for blk, xi in zip(problem.blocks, x0)], lam0)
 
 
 def run(
@@ -183,11 +180,8 @@ def run(
     state = _initial_state(problem, init)
     log = RunLog()
 
-    H = xi_ref = None
     if reference is not None:
         a_ref, lam_ref = _reference_pair(reference)
-        H = build_h(config.variant, problem.p, problem.m, nu)
-        xi_ref = xi_from_aggregates(a_ref, lam_ref, beta)
 
     pred = None
     warm = None
@@ -207,9 +201,8 @@ def run(
         primal, compl = feasibility_residual(problem, pred.a_tilde, pred.lambda_tilde)
         obj = objective_value(problem, pred.x_tilde)
         dist = None
-        if xi_ref is not None:
-            diff = xi_k - xi_ref
-            dist = float(np.sqrt(max(diff @ H @ diff, 0.0)))
+        if reference is not None:
+            dist = h_norm(config.variant, nu, beta, state.a - a_ref, state.lam - lam_ref)
         log.append(k, primal, compl, gap, dist, obj)
         if config.record_xi:
             log.xi_states.append(xi_k)
@@ -258,18 +251,3 @@ def contraction_check(log: RunLog, problem: SeparableProblem, config: SolverConf
         if lhs > rhs + slack:
             violations.append(k)
     return violations
-
-
-def xi_distance(a, lam, ref_a, ref_lam, W, beta) -> float:
-    """Weighted distance sqrt((xi - xi*)' W (xi - xi*)) between two
-    aggregate states, in scaled-aggregate coordinates.
-
-    W must be symmetric positive definite.
-    """
-    W = np.asarray(W, dtype=float)
-    if W.ndim != 2 or W.shape[0] != W.shape[1]:
-        raise ValueError("weight matrix must be square")
-    if np.max(np.abs(W - W.T)) > 1e-10 or np.linalg.eigvalsh((W + W.T) / 2.0)[0] <= 0.0:
-        raise ValueError("weight matrix must be symmetric positive definite")
-    diff = xi_from_aggregates(a, lam, beta) - xi_from_aggregates(ref_a, ref_lam, beta)
-    return float(np.sqrt(max(diff @ W @ diff, 0.0)))

@@ -5,6 +5,7 @@ import pytest
 
 import pcadmm as pc
 from pcadmm import matrices
+from pcadmm.cli import DEFAULT_NU_LIST
 
 
 def test_lie_two_blocks():
@@ -174,3 +175,13 @@ def test_q_pw_factorization():
         ]
     )
     np.testing.assert_allclose(Qw, expect, atol=1e-12)
+
+
+def test_h_norm_matches_dense_form_on_verify_grid():
+    rng = np.random.default_rng(11)
+    beta = 1.7
+    for variant, p, m, nu in itertools.product(("pd", "dp"), (1, 2, 3, 5), (1, 2), DEFAULT_NU_LIST):
+        da, dlam = rng.standard_normal((p, m)), rng.standard_normal(m)
+        x = matrices.xi_from_aggregates(da, dlam, beta)
+        dense = np.sqrt(x @ pc.build_h(variant, p, m, nu) @ x)
+        assert matrices.h_norm(variant, nu, beta, da, dlam) == pytest.approx(dense, rel=1e-13)

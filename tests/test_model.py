@@ -17,6 +17,10 @@ def two_block_problem():
 
 def test_validate_well_formed():
     assert pc.validate_problem(two_block_problem()) == []
+    # infinite box bounds are legal, and so are entries whose squares overflow
+    infinite_box = pc.Box(lo=[-np.inf], hi=[np.inf])
+    prob = pc.SeparableProblem(blocks=(pc.BlockSpec(theta=pc.Zero(), set=infinite_box, A=[[1e200]]),), b=[1.0])
+    assert pc.validate_problem(prob) == []
 
 
 def test_validate_wrong_row_count():
@@ -64,6 +68,31 @@ def test_validate_reports_all_violations_at_once():
     assert len(violations) >= 3  # negative weight, row count, c length, box
     assert any("block 0" in v for v in violations)
     assert any("block 1" in v for v in violations)
+
+
+def test_validate_nan_in_b_is_rejected():
+    prob, _ = pc.gen_eq_qp(2, [10, 10], 5, 0)
+    prob.b[0] = np.nan
+    assert any("non-finite" in msg for msg in pc.validate_problem(prob))
+    with pytest.raises(ValueError, match="non-finite"):
+        pc.run(prob, pc.SolverConfig(max_iters=2000))
+
+
+def test_validate_non_finite_data():
+    A = np.array([[1.0, np.inf]])
+    prob = pc.SeparableProblem(
+        blocks=(
+            pc.BlockSpec(theta=pc.Quadratic([[1.0, 0.0], [0.0, np.nan]], [0.0, 0.0]), A=A),
+            pc.BlockSpec(theta=pc.Quadratic(np.eye(1), [np.inf]), A=[[1.0]]),
+            pc.BlockSpec(theta=pc.WeightedL1(np.nan), A=[[1.0]]),
+            pc.BlockSpec(theta=pc.Zero(), set=pc.Box(lo=[np.nan], hi=[1.0]), A=[[1.0]]),
+        ),
+        b=[1.0],
+    )
+    errors = pc.validate_problem(prob)
+    for expected in ("block 0: A", "block 0: quadratic H", "block 1: quadratic c", "block 2: l1", "block 3: box"):
+        assert any(msg.startswith(expected) for msg in errors), (expected, errors)
+    assert len(errors) == 5
 
 
 def test_validate_asymmetric_quadratic():
@@ -163,6 +192,10 @@ def test_solver_config_validation():
         pc.SolverConfig(beta=0.0)
     with pytest.raises(ValueError, match="variant"):
         pc.SolverConfig(variant="xx")
+    with pytest.raises(ValueError, match="inner_tol"):
+        pc.SolverConfig(inner_tol=0.0)
+    with pytest.raises(ValueError, match="inner_tol"):
+        pc.SolverConfig(inner_tol=-1e-10)
 
 
 def test_json_round_trip():

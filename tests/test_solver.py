@@ -203,26 +203,6 @@ def test_variant_agreement_on_objective():
     assert abs(objs["pd"] - objs["dp"]) <= 1e-6 * (1 + abs(objs["pd"]))
 
 
-def test_xi_distance_values():
-    a = [np.array([1.0]), np.array([0.0])]
-    lam = np.array([0.0])
-    zero = [np.zeros(1), np.zeros(1)]
-    H = pc.build_h("pd", 2, 1, 0.5)
-    # (1, 0, 0) direction picks up H[0,0] = 3
-    assert pc.xi_distance(a, lam, zero, np.zeros(1), H, 1.0) == pytest.approx(np.sqrt(3.0))
-    assert pc.xi_distance(a, lam, a, lam, H, 1.0) == 0.0
-    d = pc.xi_distance(a, lam, zero, np.zeros(1), np.eye(3), 1.0)
-    assert d == pytest.approx(1.0)
-
-
-def test_xi_distance_rejects_non_pd_weight():
-    a = [np.zeros(1)]
-    with pytest.raises(ValueError):
-        pc.xi_distance(a, np.zeros(1), a, np.zeros(1), -np.eye(2), 1.0)
-    with pytest.raises(ValueError):
-        pc.xi_distance(a, np.zeros(1), a, np.zeros(1), np.array([[1.0, 0.5], [0.0, 1.0]]), 1.0)
-
-
 def test_csv_log_format(tmp_path):
     prob, ref = pc.gen_eq_qp(1, [3], 2, seed=15)
     result = pc.run(prob, pc.SolverConfig(), reference=ref)
