@@ -23,7 +23,7 @@ from .matrices import (
     build_p,
     build_q,
     check_skew,
-    h_norm,
+    kron_form,
     split_stacked,
     stack_blocks,
     verify_framework,
@@ -75,6 +75,7 @@ from .prox import (
 from .solver import (
     CONVERGED,
     MAX_ITERS,
+    NON_FINITE,
     SUBPROBLEM_FAILURE,
     MissingReferenceError,
     RunLog,

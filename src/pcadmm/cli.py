@@ -134,11 +134,12 @@ def cmd_solve(args) -> int:
     print(f"pred_gap={log.pred_gap[last]!r}")
     print(f"iters={len(log)}")
     print(f"reason={result.reason.kind}")
+    if result.reason.detail:
+        print(f"detail={result.reason.detail}")
     if result.reason.kind == CONVERGED:
         return 0
     if result.reason.kind == MAX_ITERS:
         return 2
-    print(f"detail={result.reason.detail}")
     return 1
 
 
@@ -227,6 +228,7 @@ def cmd_bench(args) -> int:
             print(
                 f"run={name}-{variant} iters={len(result.log)} "
                 f"reason={result.reason.kind} violations={len(violations)} "
+                f"first_violation={violations[0] if violations else '-'} "
                 f"primal_res={result.log.primal_res[-1]!r} "
                 f"compl_res={result.log.compl_res[-1]!r}"
             )

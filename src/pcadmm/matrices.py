@@ -13,6 +13,8 @@ G is double-entry bookkeeping: it is computed from its definition and
 cross-checked against the known closed form for the requested variant;
 a mismatch signals a factory bug and raises
 :class:`ClosedFormMismatchError`.
+Each factory returns kron(T, I_m) of its own m = 1 build T, so
+:func:`kron_form` evaluates the H- and G-forms from T alone.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ __all__ = [
     "build_q",
     "build_m",
     "build_h",
-    "h_norm",
+    "kron_form",
     "build_g",
     "build_framework",
     "verify_framework",
@@ -194,23 +196,17 @@ def build_h(variant: str, p: int, m: int, nu: float) -> np.ndarray:
     return np.block([[llt, np.zeros((p * m, m))], [np.zeros((m, p * m)), eye_m]])
 
 
-def h_norm(variant: str, nu: float, beta: float, da, dlam) -> float:
-    """||xi||_H for the xi of aggregates ``da`` (p, m) and multiplier
-    ``dlam``, in O(pm) without forming H.
+def kron_form(T, x):
+    """sum_ij T_ij <x_i, x_j> over the last two axes of ``x``, which
+    has shape (..., p+1, m): block rows first, multiplier row last.
 
-    With u = sqrt(beta) da, w = dlam / sqrt(beta) and suf the suffix
-    sums of the rows of u (suf = L'u), ||xi||_H^2 is
-    ||suf||^2/nu + ||suf_1 + w||^2 for the primal-first variant and
-    ||suf||^2/nu + ||w||^2 for the multiplier-first one.
+    For T = build_h(variant, p, 1, nu) this is xi' H xi with
+    x = xi.reshape(p + 1, m); leading axes evaluate a stack at once.
     """
-    _check_variant(variant)
-    _check_nu(nu)
-    sq = np.sqrt(beta)
-    suf = np.cumsum(sq * np.asarray(da, dtype=float)[::-1], axis=0)[::-1]
-    w = np.asarray(dlam, dtype=float) / sq
-    if variant == "pd":
-        w = suf[0] + w
-    return float(np.sqrt(np.sum(suf * suf) / nu + w @ w))
+    x = np.asarray(x, dtype=float)
+    gram = x @ np.swapaxes(x, -1, -2)
+    # einsum contracts without the (..., p+1, p+1) temporary of gram * T.
+    return np.einsum("...ij,ij->...", gram, T)
 
 
 def _closed_form_g(variant, p, m, nu):

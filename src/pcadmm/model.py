@@ -75,6 +75,18 @@ def _finite(x):
     return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
 
 
+def _ortho_scaled_holds(A):
+    # A'(A z) = c z to a relative 1e-12 on one fixed probe z with no
+    # zero entries, where c = ||A e_1||^2 is the scale the closed-form
+    # route uses.  Two matvecs, O(mn), where forming A'A would be O(mn^2).
+    if A.shape[1] == 0:
+        return False
+    c = float(A[:, 0] @ A[:, 0])
+    z = np.arange(1.0, A.shape[1] + 1)
+    r = A.T @ (A @ z) - c * z
+    return c > 0 and r @ r <= (1e-12 * c) ** 2 * (z @ z)
+
+
 def _as_aggregates(a, name):
     """The aggregates A_i x_i as one (p, m) array, row i for block i."""
     arr = np.asarray(a, dtype=float)
@@ -284,7 +296,8 @@ def validate_problem(problem: SeparableProblem) -> list:
     Returns a list of human-readable messages, one per violation; an
     empty list means the problem is well formed.  Nothing is raised, so
     callers can report all defects at once.  Every data entry must be
-    finite, except that box bounds may be infinite (but not NaN).
+    finite, except that box bounds may be infinite (but not NaN), and a
+    block flagged ``ortho_scaled`` must have A'A = cI with c > 0.
     """
     out = []
     m = problem.m
@@ -299,6 +312,8 @@ def validate_problem(problem: SeparableProblem) -> list:
             out.append(f"block {i}: A has {blk.A.shape[1]} columns but n={blk.n}")
         if not _finite(blk.A):
             out.append(f"block {i}: A has non-finite entries")
+        elif blk.ortho_scaled and not _ortho_scaled_holds(blk.A):
+            out.append(f"block {i}: ortho_scaled is declared but A'A is not a positive multiple of the identity")
         th = blk.theta
         if isinstance(th, Quadratic):
             if th.H.shape != (blk.n, blk.n):

@@ -17,13 +17,14 @@ the contraction audit consumes.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .corrector import correct_dp, correct_pd
-from .matrices import build_g, build_h, h_norm, xi_from_aggregates
+from .matrices import build_g, build_h, kron_form, xi_from_aggregates
 from .model import (
     IterateState,
     PredictorState,
@@ -39,6 +40,7 @@ from .prox import NonConvergenceError, SingularSystemError
 __all__ = [
     "CONVERGED",
     "MAX_ITERS",
+    "NON_FINITE",
     "SUBPROBLEM_FAILURE",
     "StopReason",
     "RunLog",
@@ -50,6 +52,7 @@ __all__ = [
 
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
+NON_FINITE = "non_finite"
 SUBPROBLEM_FAILURE = "subproblem_failure"
 
 CSV_COLUMNS = ["iter", "primal_res", "compl_res", "pred_gap", "dist_H", "objective"]
@@ -126,11 +129,18 @@ class RunResult(NamedTuple):
     reason: StopReason
 
 
-def _reference_pair(reference):
+def _reference_pair(reference, problem):
+    """The reference as (p, m) aggregates and an (m,) multiplier."""
     if hasattr(reference, "a") and hasattr(reference, "lam"):
         reference = reference.a, reference.lam
-    a_ref, lam_ref = reference
-    return np.asarray(a_ref, dtype=float), np.asarray(lam_ref, dtype=float)
+    a_ref, lam_ref = (np.asarray(v, dtype=float) for v in reference)
+    p, m = problem.p, problem.m
+    if a_ref.shape != (p, m) or lam_ref.shape != (m,):
+        raise ValueError(
+            f"reference aggregates have shape {a_ref.shape} and multiplier {lam_ref.shape}, "
+            f"expected {(p, m)} and {(m,)}"
+        )
+    return a_ref, lam_ref
 
 
 def _initial_state(problem, init):
@@ -167,7 +177,8 @@ def run(
         ``solution`` is the final predictor (set-feasible), ``state``
         the post-correction aggregates, ``log`` the history, and
         ``reason`` why the loop stopped.  Subproblem failures abort
-        with the partial log instead of raising.
+        with the partial log instead of raising, and a non-finite
+        residual or gap stops the run after its row is logged.
     """
     violations = validate_problem(problem)
     if violations:
@@ -181,7 +192,8 @@ def run(
     log = RunLog()
 
     if reference is not None:
-        a_ref, lam_ref = _reference_pair(reference)
+        H = build_h(config.variant, problem.p, 1, nu)
+        xi_ref = xi_from_aggregates(*_reference_pair(reference, problem), beta)
 
     pred = None
     warm = None
@@ -202,11 +214,14 @@ def run(
         obj = objective_value(problem, pred.x_tilde)
         dist = None
         if reference is not None:
-            dist = h_norm(config.variant, nu, beta, state.a - a_ref, state.lam - lam_ref)
+            dist = math.sqrt(max(0.0, kron_form(H, (xi_k - xi_ref).reshape(problem.p + 1, problem.m))))
         log.append(k, primal, compl, gap, dist, obj)
         if config.record_xi:
             log.xi_states.append(xi_k)
             log.xi_preds.append(xi_t)
+        if not all(map(math.isfinite, (primal, compl, gap))):
+            reason = StopReason(NON_FINITE, f"iteration {k}: primal_res={primal}, compl_res={compl}, pred_gap={gap}")
+            break
 
         state = correct(state, pred, nu, beta)
         if max(primal, compl, gap) <= config.tol:
@@ -234,20 +249,21 @@ def contraction_check(log: RunLog, problem: SeparableProblem, config: SolverConf
         raise MissingReferenceError("contraction audit needs a reference solution")
     if len(log.xi_preds) == 0 or len(log.xi_states) < len(log.xi_preds) + 1:
         raise MissingReferenceError("log has no xi snapshots; run with record_xi=True")
-    a_ref, lam_ref = _reference_pair(reference)
-    H = build_h(config.variant, problem.p, problem.m, config.nu)
-    G = build_g(config.variant, problem.p, problem.m, config.nu)
-    xi_ref = xi_from_aggregates(a_ref, lam_ref, config.beta)
+    p, m, K = problem.p, problem.m, len(log.xi_preds)
+    states, preds = log.xi_states[: K + 1], log.xi_preds
+    lengths = sorted({np.size(xi) for xi in states + preds} - {(p + 1) * m})
+    if lengths:
+        raise ValueError(f"xi snapshot has length {lengths[0]}, expected (p+1)m = {(p + 1) * m}")
+    H = build_h(config.variant, p, 1, config.nu)
+    G = build_g(config.variant, p, 1, config.nu)
+    xi_ref = xi_from_aggregates(*_reference_pair(reference, problem), config.beta)
 
-    violations = []
-    for k in range(len(log.xi_preds)):
-        dk = log.xi_states[k] - xi_ref
-        dk1 = log.xi_states[k + 1] - xi_ref
-        gk = log.xi_states[k] - log.xi_preds[k]
-        lhs = float(dk1 @ H @ dk1)
-        dist_sq = float(dk @ H @ dk)
-        rhs = dist_sq - float(gk @ G @ gk)
-        slack = 1e-8 * (1.0 + dist_sq) + 100.0 * config.inner_tol
-        if lhs > rhs + slack:
-            violations.append(k)
-    return violations
+    # Snapshot stacks of shape (K+1 or K, p+1, m); g is built in place.
+    d = np.array(states, dtype=float).reshape(K + 1, p + 1, m)
+    g = np.array(preds, dtype=float).reshape(K, p + 1, m)
+    np.subtract(d[:K], g, out=g)
+    d -= xi_ref.reshape(p + 1, m)
+    dist_sq = kron_form(H, d)
+    rhs = dist_sq[:K] - kron_form(G, g)
+    slack = 1e-8 * (1.0 + dist_sq[:K]) + 100.0 * config.inner_tol
+    return np.flatnonzero(dist_sq[1:] > rhs + slack).tolist()

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pcadmm as pc
@@ -74,7 +75,24 @@ def test_solve_missing_problem_flag():
 def test_solve_max_iters_exit_code(toy_problem_file):
     proc = run_cli("solve", "--problem", str(toy_problem_file), "--max-iters", "2")
     assert proc.returncode == 2
-    assert parse_kv(proc.stdout)["reason"] == "max_iters"
+    kv = parse_kv(proc.stdout)
+    assert kv["reason"] == "max_iters"
+    assert kv["detail"] == "no convergence in 2 iterations"
+
+
+def test_solve_non_finite_exit_code(tmp_path):
+    # finite data whose residual norm overflows on the first iteration
+    prob = pc.SeparableProblem(
+        blocks=(pc.BlockSpec(theta=pc.Quadratic(np.eye(2), np.zeros(2)), set=pc.Free(), A=np.eye(2)),),
+        b=[1e200, 1e200],
+    )
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(pc.problem_to_json(prob)))
+    proc = run_cli("solve", "--problem", str(path))
+    assert proc.returncode == 1
+    kv = parse_kv(proc.stdout)
+    assert kv["reason"] == "non_finite" and kv["iters"] == "1"
+    assert kv["detail"].startswith("iteration 0: primal_res=inf")
 
 
 def test_solve_malformed_json(tmp_path):
@@ -123,6 +141,18 @@ def test_bench_eq_qp(tmp_path):
     kv = parse_kv(proc.stdout)
     assert kv["contraction_violations"] == "0"
     assert kv["all_converged"] == "True"
+    runs = [ln for ln in proc.stdout.splitlines() if ln.startswith("run=")]
+    assert len(runs) == 8
+    assert all(" violations=0 first_violation=- " in ln for ln in runs)
+
+
+def test_bench_reports_first_violation(monkeypatch, capsys):
+    import pcadmm.cli
+
+    monkeypatch.setattr(pcadmm.cli, "contraction_check", lambda log, problem, config, ref: [4, 9])
+    assert pcadmm.cli.main(["bench", "--suite", "ineq-qp", "--seed", "3"]) == 1
+    runs = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("run=")]
+    assert runs and all(" violations=2 first_violation=4 " in ln for ln in runs)
 
 
 def test_bench_unknown_suite():

@@ -177,11 +177,20 @@ def test_q_pw_factorization():
     np.testing.assert_allclose(Qw, expect, atol=1e-12)
 
 
-def test_h_norm_matches_dense_form_on_verify_grid():
+def test_factories_are_kron_of_their_one_row_builds():
+    # every certificate matrix is kron(T, I_m) of its m = 1 build T, so
+    # kron_form on T gives the dense quadratic form
     rng = np.random.default_rng(11)
-    beta = 1.7
-    for variant, p, m, nu in itertools.product(("pd", "dp"), (1, 2, 3, 5), (1, 2), DEFAULT_NU_LIST):
-        da, dlam = rng.standard_normal((p, m)), rng.standard_normal(m)
-        x = matrices.xi_from_aggregates(da, dlam, beta)
-        dense = np.sqrt(x @ pc.build_h(variant, p, m, nu) @ x)
-        assert matrices.h_norm(variant, nu, beta, da, dlam) == pytest.approx(dense, rel=1e-13)
+    for variant, p, m, nu in itertools.product(("pd", "dp"), (1, 2, 3, 5), (1, 2, 3, 4), DEFAULT_NU_LIST):
+        factories = {
+            "Q": lambda mm: pc.build_q(variant, p, mm),
+            "M": lambda mm: pc.build_m(variant, p, mm, nu),
+            "H": lambda mm: pc.build_h(variant, p, mm, nu),
+            "G": lambda mm: pc.build_g(variant, p, mm, nu),
+        }
+        for name, build in factories.items():
+            T, dense = build(1), build(m)
+            np.testing.assert_array_equal(dense, np.kron(T, np.eye(m)), err_msg=f"{name} {variant} p={p} m={m} nu={nu}")
+            if name in ("H", "G"):
+                x = rng.standard_normal((p + 1) * m)
+                assert pc.kron_form(T, x.reshape(p + 1, m)) == pytest.approx(x @ dense @ x, rel=1e-13)

@@ -95,6 +95,37 @@ def test_validate_non_finite_data():
     assert len(errors) == 5
 
 
+def test_validate_false_ortho_scaled_flag():
+    # with the flag the closed-form route "converges" to objective 0.24;
+    # the honest run reaches the optimum 0.0978
+    def problem(flag):
+        return pc.SeparableProblem(
+            blocks=(
+                pc.BlockSpec(theta=pc.Quadratic(np.eye(2), np.zeros(2)), set=pc.Free(), A=np.eye(2)),
+                pc.BlockSpec(theta=pc.WeightedL1(0.1), set=pc.Free(), A=np.diag([1.0, 3.0]), ortho_scaled=flag),
+            ),
+            b=[1.0, -0.1],
+        )
+
+    assert pc.validate_problem(problem(True)) == [
+        "block 1: ortho_scaled is declared but A'A is not a positive multiple of the identity"
+    ]
+    with pytest.raises(ValueError, match="ortho_scaled"):
+        pc.run(problem(True), pc.SolverConfig())
+    honest = pc.run(problem(False), pc.SolverConfig())
+    assert honest.log.objective[-1] == pytest.approx(0.0978, abs=1e-4)
+    zero = pc.BlockSpec(theta=pc.Zero(), A=np.zeros((2, 2)), ortho_scaled=True)
+    assert pc.validate_problem(pc.SeparableProblem(blocks=(zero,), b=[0.0, 0.0])) != []
+
+
+def test_shipped_ortho_scaled_generators_validate():
+    for seed in (0, 1):
+        assert pc.validate_problem(pc.gen_lasso(20, 40, 0.5, seed)[0]) == []
+        assert pc.validate_problem(pc.gen_toy_svm(3, seed=seed)) == []
+    scaled = pc.BlockSpec(theta=pc.Zero(), A=2.5 * np.linalg.qr(np.random.default_rng(3).standard_normal((9, 6)))[0], ortho_scaled=True)
+    assert pc.validate_problem(pc.SeparableProblem(blocks=(scaled,), b=np.zeros(9))) == []
+
+
 def test_validate_asymmetric_quadratic():
     H = np.array([[1.0, 0.5], [0.0, 1.0]])
     prob = pc.SeparableProblem(

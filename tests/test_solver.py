@@ -221,3 +221,100 @@ def test_csv_log_format(tmp_path):
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert all(r[4] == "" for r in rows[1:])
+
+
+def _dense_audit(log, prob, config, ref):
+    # Reference audit for contraction_check: the dense (p+1)m-square H
+    # and G and three quadratic forms per iteration, no kron_form.
+    from pcadmm.matrices import xi_from_aggregates
+
+    H = pc.build_h(config.variant, prob.p, prob.m, config.nu)
+    G = pc.build_g(config.variant, prob.p, prob.m, config.nu)
+    xi_ref = xi_from_aggregates(np.asarray(ref.a), ref.lam, config.beta)
+    violations = []
+    for k in range(len(log.xi_preds)):
+        dk = log.xi_states[k] - xi_ref
+        dk1 = log.xi_states[k + 1] - xi_ref
+        gk = log.xi_states[k] - log.xi_preds[k]
+        dist_sq = float(dk @ H @ dk)
+        slack = 1e-8 * (1.0 + dist_sq) + 100.0 * config.inner_tol
+        if float(dk1 @ H @ dk1) > dist_sq - float(gk @ G @ gk) + slack:
+            violations.append(k)
+    return violations
+
+
+def _corrupted_multiplier_log(prob, config, iters):
+    # Predict/correct by hand with the sign of the aggregate term in the
+    # multiplier row flipped.
+    from pcadmm.matrices import xi_from_aggregates
+    from pcadmm.solver import RunLog
+
+    pd = config.variant == "pd"
+    predict, correct = (pc.predict_pd, pc.correct_pd) if pd else (pc.predict_dp, pc.correct_dp)
+    state = pc.IterateState(np.zeros((prob.p, prob.m)), np.zeros(prob.m))
+    log = RunLog()
+    for k in range(iters):
+        xi_k = xi_from_aggregates(state.a, state.lam, config.beta)
+        pred = predict(prob, state, config.beta, config.inner_tol)
+        xi_t = xi_from_aggregates(pred.a_tilde, pred.lambda_tilde, config.beta)
+        log.xi_states.append(xi_k)
+        log.xi_preds.append(xi_t)
+        log.append(k, 0, 0, np.linalg.norm(xi_k - xi_t), None, 0)
+        good = correct(state, pred, config.nu, config.beta)
+        d = state.a - pred.a_tilde
+        term = config.nu * config.beta * d[0] if pd else config.beta * d.sum(axis=0)
+        state = pc.IterateState(good.a, good.lam - 2 * term)
+    log.xi_states.append(xi_from_aggregates(state.a, state.lam, config.beta))
+    return log
+
+
+@pytest.mark.parametrize("variant", ["pd", "dp"])
+@pytest.mark.parametrize("p", [1, 2, 3, 5])
+def test_contraction_check_matches_dense_reference(variant, p):
+    flagged = 0
+    for seed in (0, 1):
+        prob, ref = pc.gen_eq_qp(p, [6] * p, 4, seed=seed)
+        config = pc.SolverConfig(variant=variant, record_xi=True)
+        sound = pc.run(prob, config, reference=ref)
+        assert pc.contraction_check(sound.log, prob, config, ref) == _dense_audit(sound.log, prob, config, ref) == []
+        bad = _corrupted_multiplier_log(prob, config, 120)
+        violations = pc.contraction_check(bad, prob, config, ref)
+        assert violations == _dense_audit(bad, prob, config, ref)
+        flagged += bool(violations)
+    # At p = 1 the flipped run still passes the audit on these instances;
+    # from p = 2 on it must be caught.
+    assert flagged > 0 or p == 1
+
+
+def test_reference_of_the_wrong_shape_is_rejected():
+    prob, ref = pc.gen_eq_qp(2, [10, 10], 5, seed=0)
+    with pytest.raises(ValueError, match=r"expected \(2, 5\) and \(5,\)"):
+        pc.run(prob, pc.SolverConfig(), reference=(ref.a[0], ref.lam))
+    with pytest.raises(ValueError, match=r"expected \(2, 5\) and \(5,\)"):
+        pc.run(prob, pc.SolverConfig(), reference=(ref.a, ref.lam[:4]))
+    config = pc.SolverConfig(record_xi=True)
+    result = pc.run(prob, config, reference=ref)
+    with pytest.raises(ValueError, match=r"expected \(2, 5\) and \(5,\)"):
+        pc.contraction_check(result.log, prob, config, (ref.a[0], ref.lam))
+
+
+def test_contraction_check_rejects_snapshots_of_the_wrong_length():
+    prob, ref = pc.gen_eq_qp(2, [4, 4], 3, seed=12)
+    config = pc.SolverConfig(record_xi=True)
+    result = pc.run(prob, config, reference=ref)
+    result.log.xi_preds[1] = result.log.xi_preds[1][:-1]
+    with pytest.raises(ValueError, match=r"length 8, expected \(p\+1\)m = 9"):
+        pc.contraction_check(result.log, prob, config, ref)
+
+
+@pytest.mark.parametrize("variant", ["pd", "dp"])
+def test_non_finite_block_solve_stops_after_one_row(variant):
+    def nan_solve(req, inner_tol, x0):
+        return np.full(req.A.shape[1], np.nan)
+
+    blk = pc.BlockSpec(theta=pc.Custom(value=lambda x: 0.0, solve=nan_solve), set=pc.Free(), A=[[1.0]])
+    prob = pc.SeparableProblem(blocks=(blk,), b=[1.0])
+    result = pc.run(prob, pc.SolverConfig(variant=variant))
+    assert result.reason.kind == pc.NON_FINITE
+    assert result.reason.detail.startswith("iteration 0: primal_res=nan")
+    assert len(result.log) == 1
