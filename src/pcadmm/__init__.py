@@ -13,9 +13,7 @@ testable.
 from .corrector import correct_dp, correct_pd
 from .matrices import (
     ClosedFormMismatchError,
-    FrameworkMatrices,
     FrameworkReport,
-    build_framework,
     build_g,
     build_h,
     build_lie,

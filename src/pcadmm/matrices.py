@@ -27,7 +27,6 @@ from .model import SeparableProblem
 
 __all__ = [
     "ClosedFormMismatchError",
-    "FrameworkMatrices",
     "FrameworkReport",
     "build_lie",
     "build_p",
@@ -36,7 +35,6 @@ __all__ = [
     "build_h",
     "kron_form",
     "build_g",
-    "build_framework",
     "verify_framework",
     "vi_operator",
     "check_skew",
@@ -51,20 +49,6 @@ _VARIANTS = ("pd", "dp")
 
 class ClosedFormMismatchError(AssertionError):
     """Definition-computed G disagrees with its closed form."""
-
-
-@dataclass(frozen=True)
-class FrameworkMatrices:
-    """The four certificate matrices for one (variant, p, m, nu)."""
-
-    variant: str
-    p: int
-    m: int
-    nu: float
-    Q: np.ndarray
-    M: np.ndarray
-    H: np.ndarray
-    G: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -243,20 +227,6 @@ def build_g(variant: str, p: int, m: int, nu: float) -> np.ndarray:
     return G
 
 
-def build_framework(variant: str, p: int, m: int, nu: float) -> FrameworkMatrices:
-    """All four certificate matrices for one case."""
-    return FrameworkMatrices(
-        variant=variant,
-        p=p,
-        m=m,
-        nu=nu,
-        Q=build_q(variant, p, m),
-        M=build_m(variant, p, m, nu),
-        H=build_h(variant, p, m, nu),
-        G=build_g(variant, p, m, nu),
-    )
-
-
 def verify_framework(variant: str, p: int, m: int, nu: float) -> FrameworkReport:
     """Machine-check the convergence conditions for one case.
 
@@ -266,11 +236,12 @@ def verify_framework(variant: str, p: int, m: int, nu: float) -> FrameworkReport
     """
     _check_variant(variant)
     _check_nu(nu)
-    fw = build_framework(variant, p, m, nu)
-    maxerr = float(np.max(np.abs(fw.H @ fw.M - fw.Q)))
-    h_min = float(np.linalg.eigvalsh((fw.H + fw.H.T) / 2.0)[0])
-    g_min = float(np.linalg.eigvalsh((fw.G + fw.G.T) / 2.0)[0])
-    qtq = fw.Q.T + fw.Q
+    Q, M = build_q(variant, p, m), build_m(variant, p, m, nu)
+    H, G = build_h(variant, p, m, nu), build_g(variant, p, m, nu)
+    maxerr = float(np.max(np.abs(H @ M - Q)))
+    h_min = float(np.linalg.eigvalsh((H + H.T) / 2.0)[0])
+    g_min = float(np.linalg.eigvalsh((G + G.T) / 2.0)[0])
+    qtq = Q.T + Q
     qtq_min = float(np.linalg.eigvalsh((qtq + qtq.T) / 2.0)[0])
     return FrameworkReport(
         variant=variant,

@@ -4,10 +4,9 @@
 
 Every minimization in a prediction sweep reduces to this form after
 completing the square, so this module is the only place that actually
-solves anything.  Three routes are dispatched on the block structure:
-an exact symmetric solve for quadratic objectives without set
-constraints, closed-form shrinkage/projection when A'A is a scaled
-identity, and a projected-gradient inner loop otherwise.
+solves anything.  A built-in atom turns it into the normal form
+min 0.5 x'Sx - r'x + tau||x||_1 over X, which a closed form, an exact
+solve or a projected-gradient loop then minimizes.
 """
 
 from __future__ import annotations
@@ -33,8 +32,9 @@ MAX_INNER_ITERS = 200_000
 
 
 class SingularSystemError(np.linalg.LinAlgError):
-    """Quadratic subproblem has a singular normal matrix and no set
-    constraint to regularize it."""
+    """Block subproblem has a singular normal matrix and no set
+    constraint to regularize it, or a zero one and a linear term that
+    is unbounded below on the set."""
 
 
 class NonConvergenceError(RuntimeError):
@@ -76,22 +76,28 @@ def project_set(v, set_spec):
     raise TypeError(f"unknown set {type(set_spec).__name__}")
 
 
-def _is_linear_quadratic(theta):
-    return isinstance(theta, Quadratic) and not theta.H.any()
+def _atom_parts(theta):
+    """``(H, c, tau)`` with theta(x) = 0.5 x'Hx + c'x + tau ||x||_1;
+    ``H`` is None when the atom has no quadratic term."""
+    if isinstance(theta, Quadratic):
+        return theta.H, theta.c, 0.0
+    if isinstance(theta, WeightedL1):
+        return None, 0.0, float(theta.tau)
+    if isinstance(theta, Zero):
+        return None, 0.0, 0.0
+    raise TypeError(f"unknown objective atom {type(theta).__name__}")
 
 
 def solve_block_subproblem(req: SubproblemRequest, inner_tol: float, x0=None):
     """Solve one block subproblem; returns ``(x, A @ x)``.
 
-    Dispatch, in this order:
+    Custom atoms delegate to their own solver.  A built-in atom gives
+    the normal form with S = H + beta A'A and r = beta A'v - c, and
 
-    * custom atoms delegate to their own solver;
-    * soft-threshold / projection closed forms when ``ortho_scaled``
-      and the objective is an l1 atom, zero, or purely linear;
-    * quadratic objective, free set: exact solve of the normal
-      equations ``(H + beta A'A) x = beta A'v - c`` (raises
-      :class:`SingularSystemError` when the matrix is not positive
-      definite);
+    * ``ortho_scaled`` with H = 0 (S = L*I): x is the single
+      prox step ``project_set(prox_shrink(r/L, tau/L), set)``;
+    * quadratic atom, free set: exact solve of ``S x = r`` (raises
+      :class:`SingularSystemError` when S is not positive definite);
     * anything else runs a projected-gradient loop from ``x0`` until
       the gradient-map norm is safely below ``inner_tol``.
 
@@ -99,69 +105,61 @@ def solve_block_subproblem(req: SubproblemRequest, inner_tol: float, x0=None):
     """
     if inner_tol <= 0:
         raise ValueError("inner_tol must be positive")
-    theta, beta, A, v = req.theta, float(req.beta), req.A, np.asarray(req.v, dtype=float)
+    theta, A = req.theta, req.A
 
     if isinstance(theta, Custom):
         x = np.asarray(theta.solve(req, inner_tol, x0), dtype=float)
         return x, A @ x
 
-    if req.ortho_scaled and (isinstance(theta, (WeightedL1, Zero)) or _is_linear_quadratic(theta)):
-        # A'A = scale * I, so the subproblem separates componentwise in
-        # u = A'v / scale and the constrained scalar minimizer is the
-        # clamp of the unconstrained one.
-        scale = float(A[:, 0] @ A[:, 0])
-        u = (A.T @ v) / scale
-        if isinstance(theta, WeightedL1):
-            z = prox_shrink(u, theta.tau / (beta * scale))
-        elif isinstance(theta, Zero):
-            z = u
-        else:
-            z = u - theta.c / (beta * scale)
-        x = project_set(z, req.set)
+    H, c, tau = _atom_parts(theta)
+    beta = float(req.beta)
+    r = beta * (A.T @ np.asarray(req.v, dtype=float)) - c
+    # Testing a quadratic H for zero costs O(n^2), so only the closed
+    # route, which needs it, pays for it.
+    if req.ortho_scaled and (H is None or not H.any()):
+        L = beta * float(A[:, 0] @ A[:, 0])
+        z = r / L
+        x = project_set(prox_shrink(z, tau / L) if tau else z, req.set)
         return x, A @ x
 
+    S = beta * (A.T @ A) if H is None else H + beta * (A.T @ A)
     if isinstance(theta, Quadratic) and isinstance(req.set, Free):
-        S = theta.H + beta * (A.T @ A)
         try:
             np.linalg.cholesky(S)
         except np.linalg.LinAlgError:
             raise SingularSystemError("normal matrix H + beta*A'A is singular") from None
-        x = np.linalg.solve(S, beta * (A.T @ v) - theta.c)
-        return x, A @ x
-
-    x = _projected_gradient(req, inner_tol, x0)
+        x = np.linalg.solve(S, r)
+    else:
+        x = _projected_gradient(S, r, tau, req.set, inner_tol, x0)
     return x, A @ x
 
 
-def _projected_gradient(req, inner_tol, x0):
-    """Proximal/projected gradient on the split objective.
+def _projected_gradient(S, r, tau, set_spec, inner_tol, x0):
+    """Proximal/projected gradient on the normal form.
 
-    Smooth part: (beta/2)||Ax - v||^2 plus any quadratic atom.
-    Nonsmooth part: the l1 atom (if any) and the set indicator, whose
-    joint prox is shrink-then-project because both act componentwise.
+    Smooth part: 0.5 x'Sx - r'x, with gradient S x - r.  Nonsmooth
+    part: tau ||x||_1 and the set indicator, whose joint prox is
+    shrink-then-project because both act componentwise.
     """
-    A, beta, v = req.A, float(req.beta), np.asarray(req.v, dtype=float)
-    n = A.shape[1]
-    if isinstance(req.theta, Quadratic):
-        H, c = req.theta.H, req.theta.c
-    else:
-        H, c = np.zeros((n, n)), np.zeros(n)
-    tau = req.theta.tau if isinstance(req.theta, WeightedL1) else 0.0
-
-    S = H + beta * (A.T @ A)
     lip = float(np.linalg.eigvalsh(S)[-1])
     if lip <= 0.0:
-        return project_set(np.zeros(n) if x0 is None else np.asarray(x0, dtype=float), req.set)
+        # S = 0: min -r'x + tau||x||_1 separates by coordinate.  Where
+        # |r_j| > tau the minimizer is the bound r_j pushes toward,
+        # elsewhere the projection of 0.
+        x = project_set(np.where(np.abs(r) > tau, np.copysign(np.inf, r), 0.0), set_spec)
+        if not np.isfinite(x).all():
+            raise SingularSystemError("normal matrix H + beta*A'A is zero and the linear term is unbounded")
+        return x
     step = 1.0 / lip
 
-    x = project_set(np.zeros(n) if x0 is None else x0, req.set)
+    x = project_set(np.zeros(r.shape[0]) if x0 is None else x0, set_spec)
     # The gradient-map threshold keeps a margin below inner_tol so the
     # optimality defect stays under inner_tol even for probe points a
     # moderate distance away.
     gtol = 0.04 * inner_tol
     for _ in range(MAX_INNER_ITERS):
-        grad = H @ x + c + beta * (A.T @ (A @ x - v))
-        x_next = project_set(prox_shrink(x - step * grad, step * tau), req.set)
+        z = x - step * (S @ x - r)
+        x_next = project_set(prox_shrink(z, step * tau) if tau else z, set_spec)
         gap = float(np.linalg.norm(x - x_next)) * lip
         x = x_next
         if gap <= gtol:

@@ -147,7 +147,15 @@ def _initial_state(problem, init):
     if init is None:
         return IterateState(np.zeros((problem.p, problem.m)), np.zeros(problem.m))
     x0, lam0 = init
-    return IterateState([blk.A @ np.asarray(xi, dtype=float) for blk, xi in zip(problem.blocks, x0)], lam0)
+    x0 = [np.asarray(xi, dtype=float) for xi in x0]
+    lam0 = np.asarray(lam0, dtype=float)
+    shapes = [(blk.n,) for blk in problem.blocks]
+    if [xi.shape for xi in x0] != shapes or lam0.shape != (problem.m,):
+        raise ValueError(
+            f"init blocks have shapes {[xi.shape for xi in x0]} and multiplier {lam0.shape}, "
+            f"expected {shapes} and {(problem.m,)}"
+        )
+    return IterateState([blk.A @ xi for blk, xi in zip(problem.blocks, x0)], lam0)
 
 
 def run(

@@ -74,17 +74,51 @@ def test_l1_identity_closed_form():
     np.testing.assert_allclose(ax, [2.0])
 
 
-def test_l1_scaled_orthonormal_matches_inner_loop():
-    # A'A = 4I exercised through both the closed form and the fallback loop
+CLOSED_ATOMS = {
+    "Zero": pc.Zero(),
+    "WeightedL1": pc.WeightedL1(0.7),
+    "linear": pc.Quadratic(np.zeros((4, 4)), [0.3, -0.5, 0.1, 0.8]),
+}
+CLOSED_SETS = {
+    "Free": pc.Free(),
+    "NonNeg": pc.NonNeg(),
+    "Box": pc.Box(lo=[-0.2, -1.0, 0.1, -0.3], hi=[0.4, 0.0, 1.0, 0.2]),
+}
+
+
+@pytest.mark.parametrize("set_name", list(CLOSED_SETS))
+@pytest.mark.parametrize("atom", list(CLOSED_ATOMS))
+def test_l1_scaled_orthonormal_matches_inner_loop(atom, set_name):
+    # A'A = 4I exercised through both the closed form and the fallback
+    # (the inner loop, or the exact solve for a linear atom on a free set)
     rng = np.random.default_rng(11)
     Q, _ = np.linalg.qr(rng.standard_normal((6, 4)))
     A = 2.0 * Q
     v = rng.standard_normal(6)
-    closed = SubproblemRequest(theta=pc.WeightedL1(0.7), set=pc.NonNeg(), A=A, beta=1.3, v=v, ortho_scaled=True)
-    loop = SubproblemRequest(theta=pc.WeightedL1(0.7), set=pc.NonNeg(), A=A, beta=1.3, v=v, ortho_scaled=False)
+    theta, st = CLOSED_ATOMS[atom], CLOSED_SETS[set_name]
+    closed = SubproblemRequest(theta=theta, set=st, A=A, beta=1.3, v=v, ortho_scaled=True)
+    loop = SubproblemRequest(theta=theta, set=st, A=A, beta=1.3, v=v, ortho_scaled=False)
     x1, _ = pc.solve_block_subproblem(closed, 1e-12)
     x2, _ = pc.solve_block_subproblem(loop, 1e-12)
     np.testing.assert_allclose(x1, x2, atol=1e-9)
+
+
+def test_zero_normal_matrix_is_solved_exactly():
+    # H = 0 and A = 0: min c'x over the set sits at the bound -c points
+    # to, or at the projection of 0 where c_j = 0; unbounded otherwise
+    def req(theta, st):
+        return SubproblemRequest(theta=theta, set=st, A=np.zeros((2, 3)), beta=1.7, v=np.ones(2))
+
+    linear = pc.Quadratic(np.zeros((3, 3)), [1.0, -1.0, 0.0])
+    box = pc.Box(lo=[-2.0, -2.0, 0.5], hi=[3.0, 3.0, 1.0])
+    x, ax = pc.solve_block_subproblem(req(linear, box), 1e-10)
+    np.testing.assert_array_equal(x, [-2.0, 3.0, 0.5])
+    np.testing.assert_array_equal(ax, [0.0, 0.0])
+    x, _ = pc.solve_block_subproblem(req(pc.WeightedL1(0.4), box), 1e-10, x0=np.ones(3))
+    np.testing.assert_array_equal(x, [0.0, 0.0, 0.5])
+    for st in (pc.NonNeg(), pc.Free()):
+        with pytest.raises(pc.SingularSystemError):
+            pc.solve_block_subproblem(req(linear, st), 1e-10)
 
 
 def test_projected_gradient_vi_certificate():

@@ -69,6 +69,44 @@ def test_subproblem_failure_aborts_with_partial_log():
     assert result.solution is None and len(result.log) == 0
 
 
+def zero_normal_matrix_problem(set_spec):
+    # block 2 has H = 0 and A = 0, so its normal matrix is zero; on the
+    # unit box the optimum is x1 = (1, 1), x2 = (0, 1), objective 0
+    return pc.SeparableProblem(
+        blocks=(
+            pc.BlockSpec(theta=pc.Quadratic(np.eye(2), np.zeros(2)), set=pc.Free(), A=np.eye(2)),
+            pc.BlockSpec(theta=pc.Quadratic(np.zeros((2, 2)), [1.0, -1.0]), set=set_spec, A=np.zeros((2, 2))),
+        ),
+        b=[1.0, 1.0],
+    )
+
+
+@pytest.mark.parametrize("variant", ["pd", "dp"])
+def test_zero_normal_matrix_block(variant):
+    config = pc.SolverConfig(variant=variant)
+    result = pc.run(zero_normal_matrix_problem(pc.Box([0.0, 0.0], [1.0, 1.0])), config)
+    assert result.reason.kind == pc.CONVERGED
+    assert abs(result.log.objective[-1]) <= 10 * config.tol
+    np.testing.assert_array_equal(result.solution.x_tilde[1], [0.0, 1.0])
+    for unbounded in (pc.NonNeg(), pc.Free()):
+        result = pc.run(zero_normal_matrix_problem(unbounded), config)
+        assert result.reason.kind == pc.SUBPROBLEM_FAILURE
+        assert result.reason.detail.startswith("block 1: normal matrix")
+
+
+def test_init_of_the_wrong_shape_is_rejected():
+    prob, ref = pc.gen_eq_qp(2, [4, 3], 5, seed=0)
+    expected = r"expected \[\(4,\), \(3,\)\] and \(5,\)"
+    for x0, lam0 in (
+        ([*ref.x, np.zeros(3)], ref.lam),
+        ([ref.x[0], ref.x[1][:2]], ref.lam),
+        ([ref.x[0]], ref.lam),
+        (ref.x, ref.lam[:4]),
+    ):
+        with pytest.raises(ValueError, match=expected):
+            pc.run(prob, pc.SolverConfig(), init=(x0, lam0))
+
+
 def test_invalid_problem_raises():
     prob = pc.SeparableProblem(
         blocks=(pc.BlockSpec(theta=pc.Zero(), set=pc.Free(), A=np.ones((2, 1))),),
@@ -243,9 +281,10 @@ def _dense_audit(log, prob, config, ref):
     return violations
 
 
-def _corrupted_multiplier_log(prob, config, iters):
-    # Predict/correct by hand with the sign of the aggregate term in the
-    # multiplier row flipped.
+def _corrupted_multiplier_log(prob, config, iters, corruption):
+    # Predict/correct by hand with the multiplier row corrupted: "flip"
+    # flips the sign of its aggregate term, "drop" drops its own
+    # correction -d_lam.
     from pcadmm.matrices import xi_from_aggregates
     from pcadmm.solver import RunLog
 
@@ -261,9 +300,13 @@ def _corrupted_multiplier_log(prob, config, iters):
         log.xi_preds.append(xi_t)
         log.append(k, 0, 0, np.linalg.norm(xi_k - xi_t), None, 0)
         good = correct(state, pred, config.nu, config.beta)
-        d = state.a - pred.a_tilde
-        term = config.nu * config.beta * d[0] if pd else config.beta * d.sum(axis=0)
-        state = pc.IterateState(good.a, good.lam - 2 * term)
+        if corruption == "flip":
+            d = state.a - pred.a_tilde
+            term = config.nu * config.beta * d[0] if pd else config.beta * d.sum(axis=0)
+            lam = good.lam - 2 * term
+        else:
+            lam = good.lam + (state.lam - pred.lambda_tilde)
+        state = pc.IterateState(good.a, lam)
     log.xi_states.append(xi_from_aggregates(state.a, state.lam, config.beta))
     return log
 
@@ -277,13 +320,12 @@ def test_contraction_check_matches_dense_reference(variant, p):
         config = pc.SolverConfig(variant=variant, record_xi=True)
         sound = pc.run(prob, config, reference=ref)
         assert pc.contraction_check(sound.log, prob, config, ref) == _dense_audit(sound.log, prob, config, ref) == []
-        bad = _corrupted_multiplier_log(prob, config, 120)
-        violations = pc.contraction_check(bad, prob, config, ref)
-        assert violations == _dense_audit(bad, prob, config, ref)
-        flagged += bool(violations)
-    # At p = 1 the flipped run still passes the audit on these instances;
-    # from p = 2 on it must be caught.
-    assert flagged > 0 or p == 1
+        for corruption in ("flip", "drop"):
+            bad = _corrupted_multiplier_log(prob, config, 120, corruption)
+            violations = pc.contraction_check(bad, prob, config, ref)
+            assert violations == _dense_audit(bad, prob, config, ref)
+            flagged += bool(violations)
+    assert flagged > 0
 
 
 def test_reference_of_the_wrong_shape_is_rejected():
