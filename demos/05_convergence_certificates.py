@@ -57,9 +57,10 @@ from pcadmm.solver import RunLog
 
 state = pc.IterateState(tuple(np.zeros(5) for _ in range(3)), np.zeros(5))
 log = RunLog()
+plans = pc.compile_blocks(problem, config.beta)  # set up each block's solve once
 for k in range(100):
     xi_k = xi_from_aggregates(state.a, state.lam, config.beta)
-    pred = pc.predict_pd(problem, state, config.beta, config.inner_tol)
+    pred = pc.predict_pd(problem, state, config.beta, config.inner_tol, plans=plans)
     log.xi_states.append(xi_k)
     log.xi_preds.append(xi_from_aggregates(pred.a_tilde, pred.lambda_tilde, config.beta))
     log.append(k, 0, 0, 0, None, 0)

@@ -51,7 +51,7 @@ from .model import (
     theta_value,
     validate_problem,
 )
-from .predictor import predict_dp, predict_pd
+from .predictor import compile_blocks, predict_dp, predict_pd
 from .problems import (
     ReferenceSolution,
     active_set_oracle,
@@ -64,7 +64,9 @@ from .problems import (
 from .prox import (
     NonConvergenceError,
     SingularSystemError,
+    SubproblemError,
     SubproblemRequest,
+    compile_block,
     project_set,
     prox_shrink,
     solve_block_subproblem,

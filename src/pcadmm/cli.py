@@ -108,6 +108,8 @@ def cmd_solve(args) -> int:
             init = ([np.asarray(xi, dtype=float) for xi in data["x"]], np.asarray(data["lambda"], dtype=float))
         except KeyError as e:
             raise CliError(f"init file is missing key {e}")
+        except (TypeError, ValueError) as e:
+            raise CliError(f"init file has a malformed entry: {e}")
     reference = None
     if args.reference:
         data = _load_json(args.reference, "reference")
@@ -118,6 +120,8 @@ def cmd_solve(args) -> int:
             )
         except KeyError as e:
             raise CliError(f"reference file is missing key {e}")
+        except (TypeError, ValueError) as e:
+            raise CliError(f"reference file has a malformed entry: {e}")
 
     try:
         result = run(problem, config, init=init, reference=reference)

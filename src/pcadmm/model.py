@@ -129,8 +129,9 @@ class Custom:
 
     ``value(x)`` returns theta(x).  ``solve(request, inner_tol, x0)``
     must return the minimizer of ``theta(x) + (beta/2)||Ax - v||^2``
-    over the block's set, where ``request`` is the
-    :class:`~pcadmm.prox.SubproblemRequest` being dispatched.
+    over the block's set, as an array of shape ``(n,)``, where
+    ``request`` is the :class:`~pcadmm.prox.SubproblemRequest` being
+    dispatched.
     """
 
     value: Callable[[np.ndarray], float]

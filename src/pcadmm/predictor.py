@@ -17,17 +17,29 @@ import numpy as np
 
 from .model import IterateState, PredictorState, SeparableProblem
 from .prox import (
-    NonConvergenceError,
-    SingularSystemError,
+    SubproblemError,
     SubproblemRequest,
+    compile_block,
     solve_block_subproblem,
     solve_lambda_subproblem,
 )
 
-__all__ = ["predict_pd", "predict_dp"]
+__all__ = ["compile_blocks", "predict_pd", "predict_dp"]
 
 
-def _sweep_blocks(problem, state, lam, beta, inner_tol, warm_start):
+def compile_blocks(problem, beta):
+    """One :func:`~pcadmm.prox.compile_block` plan per block, for the
+    ``plans`` argument of the sweeps; an error names its block."""
+    plans = []
+    for i, blk in enumerate(problem.blocks):
+        try:
+            plans.append(compile_block(blk.theta, blk.set, blk.A, beta, blk.ortho_scaled))
+        except SubproblemError as e:
+            raise type(e)(f"block {i}: {e}") from e
+    return plans
+
+
+def _sweep_blocks(problem, state, lam, beta, inner_tol, warm_start, plans):
     """Sequential block solves sharing the multiplier vector ``lam``.
 
     Block i minimizes theta_i(x) + (beta/2)||A_i x - v_i||^2 with
@@ -46,11 +58,12 @@ def _sweep_blocks(problem, state, lam, beta, inner_tol, warm_start):
             beta=beta,
             v=v,
             ortho_scaled=blk.ortho_scaled,
+            plan=plans[i],
         )
         x0 = warm_start[i] if warm_start is not None else None
         try:
             xi, ai = solve_block_subproblem(req, inner_tol, x0=x0)
-        except (SingularSystemError, NonConvergenceError) as e:
+        except SubproblemError as e:
             raise type(e)(f"block {i}: {e}") from e
         x_tilde.append(xi)
         a_tilde[i] = ai
@@ -69,14 +82,19 @@ def predict_pd(
     beta: float,
     inner_tol: float,
     warm_start=None,
+    plans=None,
 ) -> PredictorState:
     """Primal-first prediction sweep: blocks 1..p, then the multiplier.
 
     Every block solve uses the incoming multiplier; the multiplier
-    update then uses the freshly predicted aggregates.
+    update then uses the freshly predicted aggregates.  ``plans`` are
+    the blocks' :func:`compile_blocks` plans for this ``beta``; without
+    them the blocks are compiled for this call.
     """
     _check_state(problem, state)
-    x_tilde, a_tilde = _sweep_blocks(problem, state, state.lam, beta, inner_tol, warm_start)
+    if plans is None:
+        plans = compile_blocks(problem, beta)
+    x_tilde, a_tilde = _sweep_blocks(problem, state, state.lam, beta, inner_tol, warm_start, plans)
     residual = a_tilde.sum(axis=0) - problem.b
     lam_tilde = solve_lambda_subproblem(state.lam, residual, beta, problem.sense)
     return PredictorState(tuple(x_tilde), a_tilde, lam_tilde)
@@ -88,14 +106,18 @@ def predict_dp(
     beta: float,
     inner_tol: float,
     warm_start=None,
+    plans=None,
 ) -> PredictorState:
     """Multiplier-first prediction sweep.
 
     The multiplier is updated from the *current* aggregates before any
     block moves, and every block solve then sees the fresh multiplier.
+    ``plans`` are as for :func:`predict_pd`.
     """
     _check_state(problem, state)
     residual = state.a.sum(axis=0) - problem.b
     lam_tilde = solve_lambda_subproblem(state.lam, residual, beta, problem.sense)
-    x_tilde, a_tilde = _sweep_blocks(problem, state, lam_tilde, beta, inner_tol, warm_start)
+    if plans is None:
+        plans = compile_blocks(problem, beta)
+    x_tilde, a_tilde = _sweep_blocks(problem, state, lam_tilde, beta, inner_tol, warm_start, plans)
     return PredictorState(tuple(x_tilde), a_tilde, lam_tilde)

@@ -6,21 +6,27 @@ Every minimization in a prediction sweep reduces to this form after
 completing the square, so this module is the only place that actually
 solves anything.  A built-in atom turns it into the normal form
 min 0.5 x'Sx - r'x + tau||x||_1 over X, which a closed form, an exact
-solve or a projected-gradient loop then minimizes.
+solve or a projected-gradient loop then minimizes.  The route and the
+setup that does not depend on v are fixed once per block by
+:func:`compile_block`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .model import Box, Custom, Free, GE, NonNeg, Quadratic, WeightedL1, Zero
 
 __all__ = [
+    "BlockPlan",
     "SubproblemRequest",
+    "SubproblemError",
     "SingularSystemError",
     "NonConvergenceError",
+    "compile_block",
     "prox_shrink",
     "project_set",
     "solve_block_subproblem",
@@ -31,13 +37,17 @@ __all__ = [
 MAX_INNER_ITERS = 200_000
 
 
-class SingularSystemError(np.linalg.LinAlgError):
+class SubproblemError(Exception):
+    """A block subproblem could not be set up or solved."""
+
+
+class SingularSystemError(SubproblemError, np.linalg.LinAlgError):
     """Block subproblem has a singular normal matrix and no set
     constraint to regularize it, or a zero one and a linear term that
     is unbounded below on the set."""
 
 
-class NonConvergenceError(RuntimeError):
+class NonConvergenceError(SubproblemError, RuntimeError):
     """Projected-gradient inner loop exhausted its iteration cap."""
 
 
@@ -48,6 +58,8 @@ class SubproblemRequest:
     ``v`` already carries the Gauss-Seidel drift of the earlier blocks
     and the multiplier term, so the request is self-contained.
     ``ortho_scaled`` mirrors the block flag declaring A'A = c*I.
+    ``plan`` is the block's :func:`compile_block` plan, or None to
+    compile one for this request.
     """
 
     theta: object
@@ -56,6 +68,15 @@ class SubproblemRequest:
     beta: float
     v: np.ndarray
     ortho_scaled: bool = False
+    plan: object = None
+
+
+class BlockPlan(NamedTuple):
+    """A block's solve with its setup done once: ``solve(req,
+    inner_tol, x0)`` returns ``(x, A x)`` for the target ``req.v``."""
+
+    route: str
+    solve: Callable
 
 
 def prox_shrink(v, tau):
@@ -88,60 +109,103 @@ def _atom_parts(theta):
     raise TypeError(f"unknown objective atom {type(theta).__name__}")
 
 
-def solve_block_subproblem(req: SubproblemRequest, inner_tol: float, x0=None):
-    """Solve one block subproblem; returns ``(x, A @ x)``.
+def compile_block(theta, set_spec, A, beta, ortho_scaled=False) -> BlockPlan:
+    """Choose a block's route once and do its setup.
 
-    Custom atoms delegate to their own solver.  A built-in atom gives
-    the normal form with S = H + beta A'A and r = beta A'v - c, and
+    Custom atoms delegate to their own solver, whose result must have
+    shape ``(n,)``.  A built-in atom gives the normal form with
+    S = H + beta A'A and r = beta A'v - c, and
 
-    * ``ortho_scaled`` with H = 0 (S = L*I): x is the single
-      prox step ``project_set(prox_shrink(r/L, tau/L), set)``;
-    * quadratic atom, free set: exact solve of ``S x = r`` (raises
-      :class:`SingularSystemError` when S is not positive definite);
-    * anything else runs a projected-gradient loop from ``x0`` until
-      the gradient-map norm is safely below ``inner_tol``.
+    * ``ortho_scaled`` with H = 0 (S = L*I), route ``closed``: x is the
+      single prox step ``project_set(prox_shrink(r/L, tau/L), set)``;
+    * quadratic atom, free set, route ``exact``: S is checked positive
+      definite (else :class:`SingularSystemError`) and factored once
+      into K = S^-1 beta A' and x_c = -S^-1 c, so x = K v + x_c;
+    * anything else, route ``pg``: S and its Lipschitz constant are
+      kept, and each solve runs a projected-gradient loop from ``x0``
+      until the gradient-map norm is safely below ``inner_tol``.
 
     The returned point is exactly feasible for nonneg/box sets.
     """
-    if inner_tol <= 0:
-        raise ValueError("inner_tol must be positive")
-    theta, A = req.theta, req.A
-
+    n = A.shape[1]
     if isinstance(theta, Custom):
-        x = np.asarray(theta.solve(req, inner_tol, x0), dtype=float)
-        return x, A @ x
+
+        def solve_custom(req, inner_tol, x0):
+            x = np.asarray(theta.solve(req, inner_tol, x0), dtype=float)
+            if x.shape != (n,):
+                raise SubproblemError(f"custom solve returned shape {x.shape}, expected {(n,)}")
+            return x, A @ x
+
+        return BlockPlan("custom", solve_custom)
 
     H, c, tau = _atom_parts(theta)
-    beta = float(req.beta)
-    r = beta * (A.T @ np.asarray(req.v, dtype=float)) - c
-    # Testing a quadratic H for zero costs O(n^2), so only the closed
-    # route, which needs it, pays for it.
-    if req.ortho_scaled and (H is None or not H.any()):
-        L = beta * float(A[:, 0] @ A[:, 0])
-        z = r / L
-        x = project_set(prox_shrink(z, tau / L) if tau else z, req.set)
-        return x, A @ x
+    beta = float(beta)
 
-    S = beta * (A.T @ A) if H is None else H + beta * (A.T @ A)
-    if isinstance(theta, Quadratic) and isinstance(req.set, Free):
+    def target(v):
+        return beta * (A.T @ np.asarray(v, dtype=float)) - c
+
+    if ortho_scaled and (H is None or not H.any()):
+        L = beta * float(A[:, 0] @ A[:, 0])
+        tau_L = tau / L
+
+        def solve_closed(req, inner_tol, x0):
+            z = target(req.v) / L
+            x = project_set(prox_shrink(z, tau_L) if tau else z, set_spec)
+            return x, A @ x
+
+        return BlockPlan("closed", solve_closed)
+
+    S = A.T @ A
+    S *= beta
+    if H is not None:
+        S += H
+    if isinstance(theta, Quadratic) and isinstance(set_spec, Free):
         try:
             np.linalg.cholesky(S)
         except np.linalg.LinAlgError:
             raise SingularSystemError("normal matrix H + beta*A'A is singular") from None
-        x = np.linalg.solve(S, r)
-    else:
-        x = _projected_gradient(S, r, tau, req.set, inner_tol, x0)
-    return x, A @ x
+        m = A.shape[0]
+        rhs = np.empty((n, m + 1))
+        np.multiply(A.T, beta, out=rhs[:, :m])
+        np.negative(c, out=rhs[:, m])
+        sol = np.linalg.solve(S, rhs)
+        K, x_c = sol[:, :m], sol[:, m]
+
+        def solve_exact(req, inner_tol, x0):
+            x = K @ np.asarray(req.v, dtype=float) + x_c
+            return x, A @ x
+
+        return BlockPlan("exact", solve_exact)
+
+    lip = float(np.linalg.eigvalsh(S)[-1])
+
+    def solve_pg(req, inner_tol, x0):
+        x = _projected_gradient(S, lip, target(req.v), tau, set_spec, inner_tol, x0)
+        return x, A @ x
+
+    return BlockPlan("pg", solve_pg)
 
 
-def _projected_gradient(S, r, tau, set_spec, inner_tol, x0):
+def solve_block_subproblem(req: SubproblemRequest, inner_tol: float, x0=None):
+    """Solve one block subproblem with ``req.plan``, or with a plan
+    compiled for this call (see :func:`compile_block`); returns
+    ``(x, A @ x)``."""
+    if inner_tol <= 0:
+        raise ValueError("inner_tol must be positive")
+    plan = req.plan
+    if plan is None:
+        plan = compile_block(req.theta, req.set, req.A, req.beta, req.ortho_scaled)
+    return plan.solve(req, inner_tol, x0)
+
+
+def _projected_gradient(S, lip, r, tau, set_spec, inner_tol, x0):
     """Proximal/projected gradient on the normal form.
 
-    Smooth part: 0.5 x'Sx - r'x, with gradient S x - r.  Nonsmooth
-    part: tau ||x||_1 and the set indicator, whose joint prox is
+    Smooth part: 0.5 x'Sx - r'x, with gradient S x - r and Lipschitz
+    constant ``lip``, the largest eigenvalue of S.  Nonsmooth part:
+    tau ||x||_1 and the set indicator, whose joint prox is
     shrink-then-project because both act componentwise.
     """
-    lip = float(np.linalg.eigvalsh(S)[-1])
     if lip <= 0.0:
         # S = 0: min -r'x + tau||x||_1 separates by coordinate.  Where
         # |r_j| > tau the minimizer is the bound r_j pushes toward,

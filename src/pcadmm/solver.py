@@ -34,8 +34,8 @@ from .model import (
     objective_value,
     validate_problem,
 )
-from .predictor import predict_dp, predict_pd
-from .prox import NonConvergenceError, SingularSystemError
+from .predictor import compile_blocks, predict_dp, predict_pd
+from .prox import SubproblemError
 
 __all__ = [
     "CONVERGED",
@@ -187,6 +187,11 @@ def run(
         ``reason`` why the loop stopped.  Subproblem failures abort
         with the partial log instead of raising, and a non-finite
         residual or gap stops the run after its row is logged.
+
+    Each block's solve is compiled once (:func:`compile_blocks`), after
+    validation; a block that cannot be set up, such as an exact block
+    with a singular normal matrix, stops the run before its first
+    iteration.
     """
     violations = validate_problem(problem)
     if violations:
@@ -206,11 +211,16 @@ def run(
     pred = None
     warm = None
     reason = StopReason(MAX_ITERS, f"no convergence in {config.max_iters} iterations")
-    for k in range(config.max_iters):
+    iterations = range(config.max_iters)
+    try:
+        plans = compile_blocks(problem, beta)
+    except SubproblemError as e:
+        reason, iterations = StopReason(SUBPROBLEM_FAILURE, str(e)), ()
+    for k in iterations:
         xi_k = xi_from_aggregates(state.a, state.lam, beta)
         try:
-            new_pred = predict(problem, state, beta, config.inner_tol, warm_start=warm)
-        except (SingularSystemError, NonConvergenceError) as e:
+            new_pred = predict(problem, state, beta, config.inner_tol, warm_start=warm, plans=plans)
+        except SubproblemError as e:
             reason = StopReason(SUBPROBLEM_FAILURE, str(e))
             break
         pred = new_pred

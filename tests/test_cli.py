@@ -181,3 +181,14 @@ def test_bench_dump_round_trips(tmp_path):
     for f in files:
         prob = pc.problem_from_json(json.loads(f.read_text()))
         assert pc.validate_problem(prob) == []
+
+
+@pytest.mark.parametrize("flag, key", [("--init", "x"), ("--reference", "a")])
+def test_solve_rejects_a_malformed_init_or_reference(toy_problem_file, tmp_path, flag, key):
+    path = tmp_path / "start.json"
+    for bad in (5, ["one"]):
+        path.write_text(json.dumps({key: bad, "lambda": [1.0]}))
+        proc = run_cli("solve", "--problem", str(toy_problem_file), flag, str(path))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {flag[2:]} file has a malformed entry")
+        assert "Traceback" not in proc.stderr

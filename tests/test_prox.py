@@ -202,3 +202,53 @@ def test_lambda_subproblem():
     np.testing.assert_array_equal(pc.solve_lambda_subproblem(lam, np.zeros(2), 1.0, pc.EQ), lam)
     with pytest.raises(ValueError):
         pc.solve_lambda_subproblem(lam, np.zeros(2), 0.0, pc.EQ)
+
+
+def _plan_cases():
+    # (route, theta, set, A, ortho_scaled) covering every route
+    rng = np.random.default_rng(23)
+    n, m = 4, 6
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    H = (Q * rng.uniform(0.5, 3, n)) @ Q.T
+    c = rng.standard_normal(n)
+    A = rng.standard_normal((m, n))
+    ortho = 2.0 * np.linalg.qr(rng.standard_normal((m, n)))[0]
+
+    def custom_solve(req, inner_tol, x0):
+        S = np.eye(req.A.shape[1]) + req.beta * req.A.T @ req.A
+        return np.linalg.solve(S, req.beta * req.A.T @ req.v)
+
+    cases = [("exact", pc.Quadratic(H, c), pc.Free(), A, False)]
+    cases += [("closed", atom, CLOSED_SETS["Box"], ortho, True) for atom in CLOSED_ATOMS.values()]
+    cases += [("pg", pc.Quadratic(H, c), st, A, False) for st in (pc.NonNeg(), CLOSED_SETS["Box"])]
+    cases += [("pg", pc.WeightedL1(0.4), pc.NonNeg(), A, False)]
+    cases += [("custom", pc.Custom(lambda x: 0.5 * float(x @ x), custom_solve), pc.Free(), A, False)]
+    return cases
+
+
+PLAN_CASES = _plan_cases()
+PLAN_IDS = [f"{route}-{type(theta).__name__}-{type(st).__name__}" for route, theta, st, _, _ in PLAN_CASES]
+
+
+@pytest.mark.parametrize("route, theta, st, A, ortho", PLAN_CASES, ids=PLAN_IDS)
+def test_compiled_plan_matches_per_call_solve(route, theta, st, A, ortho):
+    beta, inner_tol = 1.3, 1e-11
+    plan = pc.compile_block(theta, st, A, beta, ortho)
+    assert plan.route == route
+    rng = np.random.default_rng(29)
+    x0 = None
+    for _ in range(4):
+        v = rng.standard_normal(A.shape[0])
+        fresh = SubproblemRequest(theta=theta, set=st, A=A, beta=beta, v=v, ortho_scaled=ortho)
+        x_call, a_call = pc.solve_block_subproblem(fresh, inner_tol, x0=x0)
+        planned = SubproblemRequest(theta=theta, set=st, A=A, beta=beta, v=v, ortho_scaled=ortho, plan=plan)
+        for x, a in (pc.solve_block_subproblem(planned, inner_tol, x0=x0), plan.solve(planned, inner_tol, x0)):
+            assert np.linalg.norm(x - x_call) <= 1e-12 * np.linalg.norm(x_call)
+            assert np.linalg.norm(a - a_call) <= 1e-12 * np.linalg.norm(a_call)
+            np.testing.assert_allclose(a, A @ x, rtol=1e-12, atol=0)
+        x0 = x_call
+
+
+def test_singular_exact_block_fails_when_compiled():
+    with pytest.raises(pc.SingularSystemError, match="normal matrix"):
+        pc.compile_block(pc.Quadratic(np.zeros((2, 2)), np.zeros(2)), pc.Free(), np.array([[1.0, 1.0]]), 1.0)

@@ -360,3 +360,93 @@ def test_non_finite_block_solve_stops_after_one_row(variant):
     assert result.reason.kind == pc.NON_FINITE
     assert result.reason.detail.startswith("iteration 0: primal_res=nan")
     assert len(result.log) == 1
+
+
+def test_custom_solve_of_the_wrong_shape_stops_the_run():
+    def wrong_shape(req, inner_tol, x0):
+        return np.zeros(3)
+
+    prob = pc.SeparableProblem(
+        blocks=(
+            pc.BlockSpec(theta=pc.Quadratic(np.eye(1), [0.0]), set=pc.Free(), A=[[1.0]]),
+            pc.BlockSpec(theta=pc.Custom(value=lambda x: 0.0, solve=wrong_shape), set=pc.Free(), A=[[1.0, 1.0]]),
+        ),
+        b=[1.0],
+    )
+    result = pc.run(prob, pc.SolverConfig())
+    assert result.reason.kind == pc.SUBPROBLEM_FAILURE
+    assert result.reason.detail == "block 1: custom solve returned shape (3,), expected (2,)"
+    assert result.solution is None and len(result.log) == 0
+
+
+def nonneg_qp(seed):
+    # quadratic blocks on the nonnegative orthant (the projected-gradient
+    # route) next to two exact blocks, coupled by feasible equality rows
+    rng = np.random.default_rng(seed)
+    m, blocks, b = 3, [], np.zeros(3)
+    for i in range(4):
+        n = 3 + i
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        A = rng.standard_normal((m, n))
+        st = pc.NonNeg() if i % 2 else pc.Free()
+        blocks.append(pc.BlockSpec(theta=pc.Quadratic((Q * rng.uniform(0.5, 2, n)) @ Q.T, rng.standard_normal(n)), set=st, A=A))
+        b += A @ rng.uniform(0, 1, n)
+    return pc.SeparableProblem(blocks=tuple(blocks), b=b)
+
+
+@pytest.mark.parametrize("max_iters", [3, 2000])
+def test_run_sets_up_each_block_once(monkeypatch, max_iters):
+    calls = {"cholesky": 0, "eigvalsh": 0}
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    result = pc.run(nonneg_qp(3), pc.SolverConfig(max_iters=max_iters))
+    assert result.reason.kind == (pc.MAX_ITERS if max_iters == 3 else pc.CONVERGED)
+    assert len(result.log) >= 3
+    assert calls == {"cholesky": 2, "eigvalsh": 2}
+
+
+def _hand_loop(prob, config):
+    # run's loop written out with per-call compiled predict_* (no plans)
+    from pcadmm.matrices import xi_from_aggregates
+
+    predict, correct = (pc.predict_pd, pc.correct_pd) if config.variant == "pd" else (pc.predict_dp, pc.correct_dp)
+    state = pc.IterateState(np.zeros((prob.p, prob.m)), np.zeros(prob.m))
+    states, preds, warm = [], [], None
+    for _ in range(config.max_iters):
+        xi_k = xi_from_aggregates(state.a, state.lam, config.beta)
+        pred = predict(prob, state, config.beta, config.inner_tol, warm_start=warm)
+        warm = pred.x_tilde
+        xi_t = xi_from_aggregates(pred.a_tilde, pred.lambda_tilde, config.beta)
+        states.append(xi_k)
+        preds.append(xi_t)
+        primal, compl = pc.feasibility_residual(prob, pred.a_tilde, pred.lambda_tilde)
+        state = correct(state, pred, config.nu, config.beta)
+        if max(primal, compl, float(np.linalg.norm(xi_k - xi_t))) <= config.tol:
+            break
+    states.append(xi_from_aggregates(state.a, state.lam, config.beta))
+    return states, preds, pred
+
+
+@pytest.mark.parametrize("variant", ["pd", "dp"])
+@pytest.mark.parametrize("p", [1, 2, 3, 5, "nonneg"])
+def test_run_matches_the_uncompiled_predict_loop(variant, p):
+    prob = nonneg_qp(5) if p == "nonneg" else pc.gen_eq_qp(p, [6] * p, 4, seed=p)[0]
+    config = pc.SolverConfig(variant=variant, record_xi=True)
+    result = pc.run(prob, config)
+    states, preds, last = _hand_loop(prob, config)
+    assert result.reason.kind == pc.CONVERGED
+    assert len(result.log) == len(preds)
+    for got, want in zip(result.log.xi_states + result.log.xi_preds, states + preds):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    for got, want in zip(result.solution.x_tilde, last.x_tilde):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
