@@ -63,6 +63,7 @@ from .problems import (
 )
 from .prox import (
     NonConvergenceError,
+    NonConvexError,
     SingularSystemError,
     SubproblemError,
     SubproblemRequest,

@@ -26,6 +26,7 @@ __all__ = [
     "SubproblemError",
     "SingularSystemError",
     "NonConvergenceError",
+    "NonConvexError",
     "compile_block",
     "prox_shrink",
     "project_set",
@@ -35,6 +36,11 @@ __all__ = [
 
 # Iteration cap for the projected-gradient inner loop.
 MAX_INNER_ITERS = 200_000
+
+# The gradient-map threshold, as a fraction of inner_tol, below which a
+# pg-route point is accepted.  The margin keeps the optimality defect
+# under inner_tol even for probe points a moderate distance away.
+GAP_FRACTION = 0.04
 
 
 class SubproblemError(Exception):
@@ -49,6 +55,11 @@ class SingularSystemError(SubproblemError, np.linalg.LinAlgError):
 
 class NonConvergenceError(SubproblemError, RuntimeError):
     """Projected-gradient inner loop exhausted its iteration cap."""
+
+
+class NonConvexError(SubproblemError, ValueError):
+    """Block subproblem has a normal matrix with a negative eigenvalue,
+    so it is not convex and may be unbounded below."""
 
 
 @dataclass(frozen=True)
@@ -121,9 +132,14 @@ def compile_block(theta, set_spec, A, beta, ortho_scaled=False) -> BlockPlan:
     * quadratic atom, free set, route ``exact``: S is checked positive
       definite (else :class:`SingularSystemError`) and factored once
       into K = S^-1 beta A' and x_c = -S^-1 c, so x = K v + x_c;
-    * anything else, route ``pg``: S and its Lipschitz constant are
-      kept, and each solve runs a projected-gradient loop from ``x0``
-      until the gradient-map norm is safely below ``inner_tol``.
+    * anything else, route ``pg``: the spectrum w of S is computed once;
+      an eigenvalue below -delta*max|w| (delta = 1e-12*n) raises
+      :class:`NonConvexError`, and lip = w[-1] is kept.  On ``NonNeg``
+      with w[0] > delta*lip (S positive definite) each solve first runs
+      an active-set Newton method from ``x0``; when it returns no point,
+      and on every other set, a projected-gradient loop runs from
+      ``x0``.  Either way the point returned has a gradient-map norm
+      safely below ``inner_tol``.
 
     The returned point is exactly feasible for nonneg/box sets.
     """
@@ -177,10 +193,21 @@ def compile_block(theta, set_spec, A, beta, ortho_scaled=False) -> BlockPlan:
 
         return BlockPlan("exact", solve_exact)
 
-    lip = float(np.linalg.eigvalsh(S)[-1])
+    w = np.linalg.eigvalsh(S)
+    delta = 1e-12 * n  # relative eigenvalue tolerance
+    if w[0] < -delta * max(-w[0], w[-1]):
+        raise NonConvexError(f"normal matrix H + beta*A'A is not convex: smallest eigenvalue {w[0]:.3g}")
+    lip = float(w[-1])
+    newton = isinstance(set_spec, NonNeg) and w[0] > delta * lip
 
     def solve_pg(req, inner_tol, x0):
-        x = _projected_gradient(S, lip, target(req.v), tau, set_spec, inner_tol, x0)
+        r = target(req.v)
+        x = None
+        if newton:
+            # tau ||x||_1 = tau 1'x on the orthant
+            x = _active_set_newton(S, lip, r - tau, set_spec, inner_tol, x0)
+        if x is None:
+            x = _projected_gradient(S, lip, r, tau, set_spec, inner_tol, x0)
         return x, A @ x
 
     return BlockPlan("pg", solve_pg)
@@ -198,32 +225,63 @@ def solve_block_subproblem(req: SubproblemRequest, inner_tol: float, x0=None):
     return plan.solve(req, inner_tol, x0)
 
 
+def _prox_step(S, lip, r, tau, set_spec, x):
+    """One proximal-gradient step from x with step 1/lip: the prox of
+    tau ||.||_1 plus the set indicator (shrink-then-project, since both
+    act componentwise) at x - (S x - r)/lip.  ``lip`` times the
+    distance from x to this step is the gradient-map norm, zero exactly
+    at the minimizer."""
+    step = 1.0 / lip
+    z = x - step * (S @ x - r)
+    return project_set(prox_shrink(z, step * tau) if tau else z, set_spec)
+
+
+def _active_set_newton(S, lip, r, set_spec, inner_tol, x0):
+    """Primal-dual active-set method (Hintermuller, Ito & Kunisch, 2002)
+    for min 0.5 x'Sx - r'x over x >= 0 with S positive definite.
+
+    With multiplier mu = S x - r, the active set is {j : mu_j > lip x_j};
+    each step sets x = 0 on it and solves S_FF x_F = r_F on the rest.
+    The clipped step is returned as soon as it passes the projected-
+    gradient loop's own test; the test, not a repeated active set, ends
+    the method, because roundoff can flip weakly active coordinates
+    forever.  Returns None after 2n + 2 steps without a certified point.
+    """
+    n = r.shape[0]
+    x = project_set(np.zeros(n) if x0 is None else x0, set_spec)
+    active = S @ x - r > lip * x
+    gtol = GAP_FRACTION * inner_tol
+    for _ in range(2 * n + 2):
+        free = ~active
+        y = np.zeros(n)
+        y[free] = np.linalg.solve(S[free][:, free], r[free])
+        active = S @ y - r > lip * y
+        x = np.maximum(y, 0.0)
+        if lip * float(np.linalg.norm(x - _prox_step(S, lip, r, 0.0, set_spec, x))) <= gtol:
+            return x
+    return None
+
+
 def _projected_gradient(S, lip, r, tau, set_spec, inner_tol, x0):
     """Proximal/projected gradient on the normal form.
 
     Smooth part: 0.5 x'Sx - r'x, with gradient S x - r and Lipschitz
     constant ``lip``, the largest eigenvalue of S.  Nonsmooth part:
-    tau ||x||_1 and the set indicator, whose joint prox is
-    shrink-then-project because both act componentwise.
+    tau ||x||_1 and the set indicator (see :func:`_prox_step`).
     """
     if lip <= 0.0:
-        # S = 0: min -r'x + tau||x||_1 separates by coordinate.  Where
+        # S = 0 (compile_block's convexity test leaves no other S with
+        # lip <= 0): min -r'x + tau||x||_1 separates by coordinate.  Where
         # |r_j| > tau the minimizer is the bound r_j pushes toward,
         # elsewhere the projection of 0.
         x = project_set(np.where(np.abs(r) > tau, np.copysign(np.inf, r), 0.0), set_spec)
         if not np.isfinite(x).all():
             raise SingularSystemError("normal matrix H + beta*A'A is zero and the linear term is unbounded")
         return x
-    step = 1.0 / lip
-
     x = project_set(np.zeros(r.shape[0]) if x0 is None else x0, set_spec)
-    # The gradient-map threshold keeps a margin below inner_tol so the
-    # optimality defect stays under inner_tol even for probe points a
-    # moderate distance away.
-    gtol = 0.04 * inner_tol
+    gtol = GAP_FRACTION * inner_tol
     for _ in range(MAX_INNER_ITERS):
-        z = x - step * (S @ x - r)
-        x_next = project_set(prox_shrink(z, step * tau) if tau else z, set_spec)
+        x_next = _prox_step(S, lip, r, tau, set_spec, x)
         gap = float(np.linalg.norm(x - x_next)) * lip
         x = x_next
         if gap <= gtol:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import pcadmm as pc
+from pcadmm import prox
 from pcadmm.prox import SubproblemRequest
 
 
@@ -230,8 +231,29 @@ PLAN_CASES = _plan_cases()
 PLAN_IDS = [f"{route}-{type(theta).__name__}-{type(st).__name__}" for route, theta, st, _, _ in PLAN_CASES]
 
 
+def _normal_form(theta, A, beta, v):
+    # (S, lip, r, tau) of the pg route, with the operations in the order
+    # compile_block uses, so the loop run here sees the same bits
+    H = getattr(theta, "H", np.zeros((A.shape[1],) * 2))
+    c = getattr(theta, "c", 0.0)
+    S = beta * (A.T @ A) + H
+    return S, np.linalg.eigvalsh(S)[-1], beta * (A.T @ v) - c, getattr(theta, "tau", 0.0)
+
+
+def _assert_nonneg_certificate(S, r, tau, x, inner_tol, rng):
+    # the loop's gradient-map test, and the VI on random probe points
+    grad = S @ x - r + tau
+    lip = np.linalg.eigvalsh(S)[-1]
+    assert np.all(x >= 0)
+    assert lip * np.linalg.norm(x - np.maximum(x - grad / lip, 0.0)) <= 0.04 * inner_tol * (1 + 1e-12)
+    for z in rng.uniform(0, 2, (50, x.size)):
+        assert (z - x) @ grad >= -inner_tol
+
+
 @pytest.mark.parametrize("route, theta, st, A, ortho", PLAN_CASES, ids=PLAN_IDS)
 def test_compiled_plan_matches_per_call_solve(route, theta, st, A, ortho):
+    # on NonNeg the pg route's Newton answer must also match the loop run
+    # directly on the same normal form, cold (first v) and warm
     beta, inner_tol = 1.3, 1e-11
     plan = pc.compile_block(theta, st, A, beta, ortho)
     assert plan.route == route
@@ -246,7 +268,68 @@ def test_compiled_plan_matches_per_call_solve(route, theta, st, A, ortho):
             assert np.linalg.norm(x - x_call) <= 1e-12 * np.linalg.norm(x_call)
             assert np.linalg.norm(a - a_call) <= 1e-12 * np.linalg.norm(a_call)
             np.testing.assert_allclose(a, A @ x, rtol=1e-12, atol=0)
+        if route == "pg" and isinstance(st, pc.NonNeg):
+            S, lip, r, tau = _normal_form(theta, A, beta, v)
+            newton = prox._active_set_newton(S, lip, r - tau, st, inner_tol, x0)
+            assert newton is not None
+            np.testing.assert_array_equal(x_call, newton)
+            loop = prox._projected_gradient(S, lip, r, tau, st, inner_tol, x0)
+            assert np.linalg.norm(newton - loop) <= 1e-9 * max(1.0, np.linalg.norm(loop))
+            _assert_nonneg_certificate(S, r, tau, newton, inner_tol, rng)
         x0 = x_call
+
+
+def test_newton_certifies_degenerate_nonneg_qps():
+    # planted optima with weakly active coordinates (x_j = 0 and zero
+    # gradient), where the active set can flip under roundoff
+    rng = np.random.default_rng(31)
+    inner_tol = 1e-10
+    for _ in range(300):
+        n = int(rng.integers(2, 13))
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        S = (Q * rng.uniform(0.1, 10, n)) @ Q.T
+        kind = rng.integers(0, 3, n)  # 0: free, 1: strictly active, 2: weakly active
+        x_star = np.where(kind == 0, rng.uniform(0.1, 2, n), 0.0)
+        mu = np.where(kind == 1, rng.uniform(0.1, 2, n), 0.0)
+        r = S @ x_star - mu
+        lip = np.linalg.eigvalsh(S)[-1]
+        for x0 in (None, rng.uniform(-1, 2, n)):
+            x = prox._active_set_newton(S, lip, r, pc.NonNeg(), inner_tol, x0)
+            assert x is not None
+            assert np.linalg.norm(x - x_star) <= 1e-9 * (1 + np.linalg.norm(x_star))
+            _assert_nonneg_certificate(S, r, 0.0, x, inner_tol, rng)
+
+
+def test_newton_failure_falls_back_to_the_loop(monkeypatch):
+    _, theta, st, A, _ = next(c for c in PLAN_CASES if c[0] == "pg" and isinstance(c[2], pc.NonNeg))
+    beta, inner_tol = 1.3, 1e-11
+    v = np.random.default_rng(37).standard_normal(A.shape[0])
+    monkeypatch.setattr(prox, "_active_set_newton", lambda *args: None)
+    plan = pc.compile_block(theta, st, A, beta)
+    req = SubproblemRequest(theta=theta, set=st, A=A, beta=beta, v=v)
+    S, lip, r, tau = _normal_form(theta, A, beta, v)
+    for x0 in (None, np.ones(A.shape[1])):
+        x, _ = plan.solve(req, inner_tol, x0)
+        np.testing.assert_array_equal(x, prox._projected_gradient(S, lip, r, tau, st, inner_tol, x0))
+
+
+def test_pg_route_convexity_gate(monkeypatch):
+    # a singular PSD S (H = 0, m < n) stays legal but never enters the
+    # Newton solve; an S with a negative eigenvalue is rejected
+    def no_newton(*args):
+        raise AssertionError("Newton solve entered with a singular S")
+
+    monkeypatch.setattr(prox, "_active_set_newton", no_newton)
+    rng = np.random.default_rng(41)
+    A = rng.standard_normal((2, 4))
+    v, inner_tol = rng.standard_normal(2), 1e-10
+    plan = pc.compile_block(pc.WeightedL1(0.3), pc.NonNeg(), A, 1.0)
+    x, _ = plan.solve(SubproblemRequest(theta=pc.WeightedL1(0.3), set=pc.NonNeg(), A=A, beta=1.0, v=v), inner_tol, None)
+    S, _, r, tau = _normal_form(pc.WeightedL1(0.3), A, 1.0, v)
+    _assert_nonneg_certificate(S, r, tau, x, inner_tol, rng)
+    H = np.diag([1.0, 1.0, 1.0, -1e-3])
+    with pytest.raises(pc.NonConvexError, match="not convex"):
+        pc.compile_block(pc.Quadratic(H, np.zeros(4)), pc.NonNeg(), np.zeros((2, 4)), 1.0)
 
 
 def test_singular_exact_block_fails_when_compiled():

@@ -94,6 +94,25 @@ def test_zero_normal_matrix_block(variant):
         assert result.reason.detail.startswith("block 1: normal matrix")
 
 
+@pytest.mark.parametrize("variant", ["pd", "dp"])
+def test_non_convex_block_stops_the_run(variant):
+    # block 0 has S = -1 + 0.01 beta < 0 on the orthant, so the problem
+    # is unbounded below; it used to "converge" at x = (0, 0)
+    prob = pc.SeparableProblem(
+        blocks=(
+            pc.BlockSpec(theta=pc.Quadratic([[-1.0]], [0.1]), set=pc.NonNeg(), A=[[0.1]]),
+            pc.BlockSpec(theta=pc.Quadratic([[1.0]], [0.0]), set=pc.Free(), A=[[1.0]]),
+        ),
+        b=[0.0],
+        sense=pc.EQ,
+    )
+    assert pc.validate_problem(prob) == []
+    result = pc.run(prob, pc.SolverConfig(variant=variant))
+    assert result.reason.kind == pc.SUBPROBLEM_FAILURE
+    assert result.reason.detail.startswith("block 0: normal matrix") and "not convex" in result.reason.detail
+    assert result.solution is None and len(result.log) == 0
+
+
 def test_init_of_the_wrong_shape_is_rejected():
     prob, ref = pc.gen_eq_qp(2, [4, 3], 5, seed=0)
     expected = r"expected \[\(4,\), \(3,\)\] and \(5,\)"
