@@ -76,10 +76,21 @@ def _load_json(path, what):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise CliError(f"{what} file not found: {path}")
-    except json.JSONDecodeError as e:
+    except OSError as e:
+        raise CliError(f"{what} file {path} cannot be read: {e.strerror}")
+    except (ValueError, RecursionError) as e:
         raise CliError(f"{what} file {path} is not valid JSON: {e}")
+
+
+def _load_pair(path, what, key):
+    """The arrays under ``key`` and the 'lambda' array of a JSON file."""
+    data = _load_json(path, what)
+    try:
+        return [np.asarray(v, dtype=float) for v in data[key]], np.asarray(data["lambda"], dtype=float)
+    except KeyError as e:
+        raise CliError(f"{what} file is missing key {e}")
+    except (TypeError, ValueError) as e:
+        raise CliError(f"{what} file has a malformed entry: {e}")
 
 
 def cmd_solve(args) -> int:
@@ -87,9 +98,6 @@ def cmd_solve(args) -> int:
         raise CliError("missing --problem\nusage: pcadmm solve --problem FILE [options]")
     try:
         problem = problem_from_json(_load_json(args.problem, "problem"))
-    except ValueError as e:
-        raise CliError(str(e))
-    try:
         config = SolverConfig(
             variant=args.variant,
             beta=args.beta,
@@ -101,27 +109,8 @@ def cmd_solve(args) -> int:
     except ValueError as e:
         raise CliError(str(e))
 
-    init = None
-    if args.init:
-        data = _load_json(args.init, "init")
-        try:
-            init = ([np.asarray(xi, dtype=float) for xi in data["x"]], np.asarray(data["lambda"], dtype=float))
-        except KeyError as e:
-            raise CliError(f"init file is missing key {e}")
-        except (TypeError, ValueError) as e:
-            raise CliError(f"init file has a malformed entry: {e}")
-    reference = None
-    if args.reference:
-        data = _load_json(args.reference, "reference")
-        try:
-            reference = (
-                [np.asarray(ai, dtype=float) for ai in data["a"]],
-                np.asarray(data["lambda"], dtype=float),
-            )
-        except KeyError as e:
-            raise CliError(f"reference file is missing key {e}")
-        except (TypeError, ValueError) as e:
-            raise CliError(f"reference file has a malformed entry: {e}")
+    init = _load_pair(args.init, "init", "x") if args.init else None
+    reference = _load_pair(args.reference, "reference", "a") if args.reference else None
 
     try:
         result = run(problem, config, init=init, reference=reference)

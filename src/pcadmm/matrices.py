@@ -100,19 +100,6 @@ def build_lie(p: int, m: int):
     return L, I, E
 
 
-def _linv_t(p, m):
-    # Transposed inverse of L: identity diagonal, -I on the superdiagonal.
-    T = np.eye(p)
-    T -= np.eye(p, k=1)
-    return np.kron(T, np.eye(m))
-
-
-def _llt(p, m):
-    # (L L')_{ij} = min(i, j) identity blocks, 1-based.
-    idx = np.arange(1, p + 1)
-    return np.kron(np.minimum.outer(idx, idx).astype(float), np.eye(m))
-
-
 def build_p(problem: SeparableProblem, beta: float) -> np.ndarray:
     """Block-diagonal scaling that maps a stacked point (x_1..x_p, lam)
     to the scaled aggregates (sqrt(beta) A_i x_i, lam/sqrt(beta))."""
@@ -138,11 +125,13 @@ def build_q(variant: str, p: int, m: int) -> np.ndarray:
     [[L, 0], [-E, I_m]].
     """
     _check_variant(variant)
-    L, _, E = build_lie(p, m)
-    eye_m = np.eye(m)
+    T = np.eye(p + 1)
+    T[:p, :p] = np.tril(np.ones((p, p)))
     if variant == "pd":
-        return np.block([[L, E.T], [np.zeros((m, p * m)), eye_m]])
-    return np.block([[L, np.zeros((p * m, m))], [-E, eye_m]])
+        T[:p, p] = 1.0
+    else:
+        T[p, :p] = -1.0
+    return np.kron(T, np.eye(m))
 
 
 def build_m(variant: str, p: int, m: int, nu: float) -> np.ndarray:
@@ -154,30 +143,36 @@ def build_m(variant: str, p: int, m: int, nu: float) -> np.ndarray:
     """
     _check_variant(variant)
     _check_nu(nu)
-    linv_t = _linv_t(p, m)
-    eye_m = np.eye(m)
-    zeros = np.zeros((p * m, m))
+    T = np.eye(p + 1)
+    T[:p, :p] = nu * (np.eye(p) - np.eye(p, k=1))
     if variant == "pd":
-        el_t = np.eye(m, p * m)  # E L^{-T} keeps only the first block
-        return np.block([[nu * linv_t, zeros], [-nu * el_t, eye_m]])
-    _, _, E = build_lie(p, m)
-    return np.block([[nu * linv_t, zeros], [-E, eye_m]])
+        T[p, 0] = -nu
+    else:
+        T[p, :p] = -1.0
+    return np.kron(T, np.eye(m))
+
+
+def _multiplier_part(variant, p):
+    # The m = 1 template of what H and the closed-form G add to their
+    # top-left block: [[E'E, E'], [E, 1]] (all ones) for primal-first,
+    # [[0, 0], [0, 1]] for multiplier-first.
+    T = np.ones((p + 1, p + 1)) if variant == "pd" else np.zeros((p + 1, p + 1))
+    T[p, p] = 1.0
+    return T
 
 
 def build_h(variant: str, p: int, m: int, nu: float) -> np.ndarray:
     """Positive-definite metric with H M = Q.
 
     Primal-first: [[(1/nu) LL' + E'E, E'], [E, I]].  Multiplier-first:
-    [[(1/nu) LL', 0], [0, I]].
+    [[(1/nu) LL', 0], [0, I]].  (LL')_ij = min(i, j) identity blocks.
     """
     _check_variant(variant)
     _check_nu(nu)
-    llt = _llt(p, m) / nu
-    eye_m = np.eye(m)
-    if variant == "pd":
-        _, _, E = build_lie(p, m)
-        return np.block([[llt + E.T @ E, E.T], [E, eye_m]])
-    return np.block([[llt, np.zeros((p * m, m))], [np.zeros((m, p * m)), eye_m]])
+    idx = np.arange(1, p + 1)
+    T = _multiplier_part(variant, p)
+    T[:p, :p] += np.minimum.outer(idx, idx) / nu
+    return np.kron(T, np.eye(m))
 
 
 def kron_form(T, x):
@@ -194,13 +189,9 @@ def kron_form(T, x):
 
 
 def _closed_form_g(variant, p, m, nu):
-    eye_m = np.eye(m)
-    if variant == "pd":
-        _, _, E = build_lie(p, m)
-        top = (1.0 - nu) * np.eye(p * m) + E.T @ E
-        return np.block([[top, E.T], [E, eye_m]])
-    diag = np.concatenate([np.full(p * m, 1.0 - nu), np.ones(m)])
-    return np.diag(diag)
+    T = _multiplier_part(variant, p)
+    T[:p, :p] += (1.0 - nu) * np.eye(p)
+    return np.kron(T, np.eye(m))
 
 
 def build_g(variant: str, p: int, m: int, nu: float) -> np.ndarray:

@@ -117,6 +117,9 @@ class WeightedL1:
 
     tau: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "tau", float(self.tau))
+
 
 @dataclass(frozen=True)
 class Zero:
@@ -185,8 +188,7 @@ class BlockSpec:
         if A.ndim != 2:
             raise ValueError(f"A must be a matrix, got shape {A.shape}")
         object.__setattr__(self, "A", A)
-        if self.n is None:
-            object.__setattr__(self, "n", A.shape[1])
+        object.__setattr__(self, "n", A.shape[1] if self.n is None else int(self.n))
 
 
 @dataclass(frozen=True)
@@ -418,108 +420,84 @@ def _check_block_dims(problem, x):
 # ---------------------------------------------------------------------------
 # JSON problem schema
 #
-# {"m": int, "sense": "eq"|"ge", "b": [...],
-#  "blocks": [{"n": int, "A": [[...], ...],
-#              "theta": {"type": "quadratic", "H": [[...]], "c": [...]}
-#                     | {"type": "l1", "tau": float}
-#                     | {"type": "zero"},
-#              "set": {"type": "free"} | {"type": "nonneg"}
-#                   | {"type": "box", "lo": [...], "hi": [...]},
-#              "ortho_scaled": bool (optional)}, ...]}
+# {"m": int (optional, must equal len(b)), "sense": "eq"|"ge", "b": [...],
+#  "blocks": [{"A": [[...]], "theta": spec, "set": spec (default free),
+#              "n": int (optional), "ortho_scaled": bool (optional)}, ...]}
+#
+# A spec is {"type": name, field: value, ...}: the name is the class's
+# key in _JSON_TYPES, and its other keys are the dataclass fields.
+
+_JSON_TYPES = {
+    "theta": {"quadratic": Quadratic, "l1": WeightedL1, "zero": Zero},
+    "set": {"free": Free, "nonneg": NonNeg, "box": Box},
+}
+
+
+def _spec_to_json(kind, obj):
+    for name, cls in _JSON_TYPES[kind].items():
+        if type(obj) is cls:
+            spec = {"type": name}
+            for key in cls.__dataclass_fields__:
+                v = getattr(obj, key)
+                spec[key] = v.tolist() if isinstance(v, np.ndarray) else v
+            return spec
+    raise ValueError(f"{kind} {type(obj).__name__} cannot be serialized")
+
+
+def _spec_from_json(kind, spec):
+    if not isinstance(spec, dict):
+        raise ValueError(f"{kind} must be an object, got {spec!r}")
+    cls = _JSON_TYPES[kind].get(spec.get("type"))
+    if cls is None:
+        raise ValueError(f"unknown {kind} type {spec.get('type')!r}")
+    return cls(**{key: spec[key] for key in cls.__dataclass_fields__})
 
 
 def problem_to_json(problem: SeparableProblem) -> dict:
     """Serialize a problem to the plain-JSON schema above."""
     blocks = []
     for blk in problem.blocks:
-        th = blk.theta
-        if isinstance(th, Quadratic):
-            theta = {"type": "quadratic", "H": th.H.tolist(), "c": th.c.tolist()}
-        elif isinstance(th, WeightedL1):
-            theta = {"type": "l1", "tau": float(th.tau)}
-        elif isinstance(th, Zero):
-            theta = {"type": "zero"}
-        else:
-            raise ValueError("custom objective atoms cannot be serialized")
-        st = blk.set
-        if isinstance(st, Free):
-            setd = {"type": "free"}
-        elif isinstance(st, NonNeg):
-            setd = {"type": "nonneg"}
-        elif isinstance(st, Box):
-            setd = {"type": "box", "lo": st.lo.tolist(), "hi": st.hi.tolist()}
-        else:
-            raise ValueError(f"unknown set {type(st).__name__}")
-        d = {"n": int(blk.n), "A": blk.A.tolist(), "theta": theta, "set": setd}
+        d = {"n": blk.n, "A": blk.A.tolist()}
+        d["theta"], d["set"] = _spec_to_json("theta", blk.theta), _spec_to_json("set", blk.set)
         if blk.ortho_scaled:
             d["ortho_scaled"] = True
         blocks.append(d)
-    return {
-        "m": int(problem.m),
-        "sense": problem.sense,
-        "b": problem.b.tolist(),
-        "blocks": blocks,
-    }
+    return {"m": problem.m, "sense": problem.sense, "b": problem.b.tolist(), "blocks": blocks}
+
+
+def _block_from_json(i, rb):
+    try:
+        if not isinstance(rb, dict):
+            raise ValueError(f"must be an object, got {rb!r}")
+        return BlockSpec(
+            theta=_spec_from_json("theta", rb["theta"]),
+            set=_spec_from_json("set", rb.get("set", {"type": "free"})),
+            A=rb["A"],
+            n=rb.get("n"),
+            ortho_scaled=bool(rb.get("ortho_scaled", False)),
+        )
+    except KeyError as e:
+        raise ValueError(f"block {i}: missing key {e}") from e
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ValueError(f"block {i}: {e}") from e
 
 
 def problem_from_json(data: dict) -> SeparableProblem:
-    """Build a problem from the JSON schema; raises ValueError naming
-    the offending key on malformed input."""
+    """Build a problem from the JSON schema; malformed input of any kind
+    raises ValueError naming the offending key or block."""
+    if not isinstance(data, dict):
+        raise ValueError(f"problem JSON must be an object, got {type(data).__name__}")
     try:
-        sense = data["sense"]
-        b = data["b"]
-        raw_blocks = data["blocks"]
-    except (KeyError, TypeError) as e:
+        sense, b, raw_blocks = data["sense"], data["b"], data["blocks"]
+    except KeyError as e:
         raise ValueError(f"problem JSON is missing key {e}") from e
-    if sense not in _SENSES:
-        raise ValueError(f"key 'sense' must be 'eq' or 'ge', got {sense!r}")
     if not isinstance(raw_blocks, list):
         raise ValueError("key 'blocks' must be a list")
-    blocks = []
-    for i, rb in enumerate(raw_blocks):
-        try:
-            A = np.asarray(rb["A"], dtype=float)
-            theta_d = rb["theta"]
-            set_d = rb.get("set", {"type": "free"})
-            kind = theta_d["type"]
-        except (KeyError, TypeError) as e:
-            raise ValueError(f"block {i}: missing key {e}") from e
-        if kind == "quadratic":
-            try:
-                theta = Quadratic(np.asarray(theta_d["H"], dtype=float), theta_d["c"])
-            except KeyError as e:
-                raise ValueError(f"block {i}: quadratic theta missing key {e}") from e
-        elif kind == "l1":
-            try:
-                theta = WeightedL1(float(theta_d["tau"]))
-            except KeyError as e:
-                raise ValueError(f"block {i}: l1 theta missing key {e}") from e
-        elif kind == "zero":
-            theta = Zero()
-        else:
-            raise ValueError(f"block {i}: unknown theta type {kind!r}")
-        skind = set_d.get("type", "free")
-        if skind == "free":
-            st = Free()
-        elif skind == "nonneg":
-            st = NonNeg()
-        elif skind == "box":
-            try:
-                st = Box(set_d["lo"], set_d["hi"])
-            except KeyError as e:
-                raise ValueError(f"block {i}: box set missing key {e}") from e
-        else:
-            raise ValueError(f"block {i}: unknown set type {skind!r}")
-        blocks.append(
-            BlockSpec(
-                theta=theta,
-                set=st,
-                A=A,
-                n=int(rb.get("n", A.shape[1])),
-                ortho_scaled=bool(rb.get("ortho_scaled", False)),
-            )
-        )
-    problem = SeparableProblem(blocks=tuple(blocks), b=np.asarray(b, dtype=float), sense=sense)
-    if "m" in data and int(data["m"]) != problem.m:
-        raise ValueError(f"key 'm' is {data['m']} but b has length {problem.m}")
+    blocks = [_block_from_json(i, rb) for i, rb in enumerate(raw_blocks)]
+    try:
+        problem = SeparableProblem(blocks=blocks, b=b, sense=sense)
+    except TypeError as e:
+        raise ValueError(f"key 'b': {e}") from e
+    if data.get("m", problem.m) != problem.m:
+        raise ValueError(f"key 'm' is {data['m']!r} but b has length {problem.m}")
     return problem

@@ -39,8 +39,12 @@ __all__ = [
     "active_set_oracle",
 ]
 
-# Enumeration limit for the active-set oracle (2^rows candidate sets).
+# The active-set oracle's enumeration limit (2^rows candidate sets) and
+# tolerance on KKT residuals, multiplier signs and feasibility, and the
+# gradient-map norm at which the lasso oracle's loop stops.
 MAX_ACTIVE_SET_ROWS = 12
+ACTIVE_SET_TOL = 1e-9
+LASSO_ORACLE_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -122,7 +126,7 @@ def kkt_oracle(problem: SeparableProblem) -> ReferenceSolution:
     return _reference_from_primal(problem, sol[:n], sol[n:])
 
 
-def active_set_oracle(problem: SeparableProblem, tol: float = 1e-9) -> ReferenceSolution:
+def active_set_oracle(problem: SeparableProblem) -> ReferenceSolution:
     """Brute-force oracle for inequality-constrained quadratic problems.
 
     Treats the m coupling rows plus one row per nonnegative coordinate
@@ -169,12 +173,12 @@ def active_set_oracle(problem: SeparableProblem, tol: float = 1e-9) -> Reference
             continue
         if not np.all(np.isfinite(sol)):
             continue
-        if float(np.linalg.norm(K @ sol - rhs_k)) > tol * (1.0 + float(np.linalg.norm(rhs_k))):
+        if float(np.linalg.norm(K @ sol - rhs_k)) > ACTIVE_SET_TOL * (1.0 + float(np.linalg.norm(rhs_k))):
             continue
         x, mu_active = sol[:n], sol[n:]
-        if k and np.min(mu_active) < -tol:
+        if k and np.min(mu_active) < -ACTIVE_SET_TOL:
             continue
-        if np.min(R @ x - r) < -tol:
+        if np.min(R @ x - r) < -ACTIVE_SET_TOL:
             continue
         obj = 0.5 * x @ Hfull @ x + c @ x
         if best is None or obj < best[0] - 1e-12:
@@ -230,7 +234,7 @@ def gen_ineq_qp(p, block_dims, m, seed):
     raise RuntimeError("could not draw a solvable instance")
 
 
-def gen_lasso(n, samples, tau, seed, oracle_tol=1e-13, data=None):
+def gen_lasso(n, samples, tau, seed, data=None):
     """l1-regularized least squares split into two identity-coupled
     blocks, with a proximal-gradient reference.
 
@@ -239,8 +243,8 @@ def gen_lasso(n, samples, tau, seed, oracle_tol=1e-13, data=None):
     Block 1 carries the quadratic data fit (H = D'D, c = -D'd, A = I),
     block 2 the l1 atom with A = -I.  The oracle minimizes the
     composite objective in the single variable by proximal gradient,
-    run until the gradient-map norm is below 1e-10 (default much
-    tighter), independently of the splitting iteration.  ``data``
+    run until the gradient-map norm is below ``LASSO_ORACLE_TOL``,
+    independently of the splitting iteration.  ``data``
     overrides the random draw with an explicit ``(D, d)`` pair.
     """
     if tau <= 0:
@@ -267,7 +271,7 @@ def gen_lasso(n, samples, tau, seed, oracle_tol=1e-13, data=None):
     for _ in range(500_000):
         grad = H @ x + c
         x_next = prox_shrink(x - step * grad, step * tau)
-        if np.linalg.norm(x - x_next) * lip <= oracle_tol:
+        if np.linalg.norm(x - x_next) * lip <= LASSO_ORACLE_TOL:
             x = x_next
             break
         x = x_next

@@ -139,9 +139,9 @@ def compile_block(theta, set_spec, A, beta, ortho_scaled=False) -> BlockPlan:
       an active-set Newton method from ``x0``; when it returns no point,
       and on every other set, a projected-gradient loop runs from
       ``x0``.  Either way the point returned has a gradient-map norm
-      safely below ``inner_tol``.
+      safely below ``inner_tol``, or is all NaN when r is not finite.
 
-    The returned point is exactly feasible for nonneg/box sets.
+    A finite returned point is exactly feasible for nonneg/box sets.
     """
     n = A.shape[1]
     if isinstance(theta, Custom):
@@ -206,7 +206,9 @@ def compile_block(theta, set_spec, A, beta, ortho_scaled=False) -> BlockPlan:
         if newton:
             # tau ||x||_1 = tau 1'x on the orthant
             x = _active_set_newton(S, lip, r - tau, set_spec, inner_tol, x0)
-        if x is None:
+        if x is None and not np.isfinite(r).all():
+            x = np.full(n, np.nan)  # no minimizer: let the run stop with non_finite
+        elif x is None:
             x = _projected_gradient(S, lip, r, tau, set_spec, inner_tol, x0)
         return x, A @ x
 

@@ -192,3 +192,52 @@ def test_solve_rejects_a_malformed_init_or_reference(toy_problem_file, tmp_path,
         assert proc.returncode == 1
         assert proc.stderr.startswith(f"error: {flag[2:]} file has a malformed entry")
         assert "Traceback" not in proc.stderr
+
+
+MALFORMED = {
+    "tau-list": lambda d: d["blocks"][1]["theta"].update(tau=[1]),
+    "tau-null": lambda d: d["blocks"][1]["theta"].update(tau=None),
+    "set-int": lambda d: d["blocks"][1].update(set=5),
+    "n-list": lambda d: d["blocks"][0].update(n=[1]),
+    "n-infinite": lambda d: d["blocks"][0].update(n=float("inf")),
+    "m-list": lambda d: d.update(m=[1]),
+    "theta-int": lambda d: d["blocks"][0].update(theta=5),
+    "A-object": lambda d: d["blocks"][0].update(A={"rows": [[1.0]]}),
+    "top-level-list": lambda d: [d],
+    "block-int": lambda d: d.update(blocks=[5]),
+    "c-string": lambda d: d["blocks"][0]["theta"].update(c="abc"),
+    "b-null": lambda d: d.update(b=None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_solve_malformed_problem_file_is_an_error(name, tmp_path):
+    data = {
+        "m": 1,
+        "sense": "eq",
+        "b": [1.0],
+        "blocks": [
+            {"n": 1, "A": [[1.0]], "theta": {"type": "quadratic", "H": [[1.0]], "c": [0.0]}, "set": {"type": "free"}},
+            {"n": 1, "A": [[1.0]], "theta": {"type": "l1", "tau": 0.5}, "set": {"type": "nonneg"}},
+        ],
+    }
+    data = MALFORMED[name](data) or data
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    proc = run_cli("solve", "--problem", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe", b"[" * 100_000 + b"]" * 100_000], ids=["directory", "not-utf8", "too-deep"])
+def test_solve_unreadable_problem_file_is_an_error(content, tmp_path):
+    path = tmp_path / "bad.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    proc = run_cli("solve", "--problem", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: problem file {path} ")
+    assert "Traceback" not in proc.stderr

@@ -1,3 +1,7 @@
+import itertools
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -230,30 +234,50 @@ def test_solver_config_validation():
 
 
 def test_json_round_trip():
-    prob = pc.SeparableProblem(
-        blocks=(
-            pc.BlockSpec(theta=pc.Quadratic(np.eye(2), np.array([1.0, -1.0])), set=pc.Free(), A=np.ones((1, 2))),
-            pc.BlockSpec(
-                theta=pc.WeightedL1(0.25),
-                set=pc.Box(lo=np.zeros(3), hi=np.ones(3)),
-                A=np.arange(3.0).reshape(1, 3),
-                ortho_scaled=False,
+    thetas = [pc.Quadratic(np.eye(2), [1.0, -1.0]), pc.WeightedL1(0.25), pc.Zero()]
+    sets = [pc.Free(), pc.NonNeg(), pc.Box(lo=[0.0, -np.inf], hi=[1.0, 2.0])]
+    for theta, st in itertools.product(thetas, sets):
+        prob = pc.SeparableProblem(
+            blocks=(
+                pc.BlockSpec(theta=theta, set=st, A=np.arange(4.0).reshape(2, 2)),
+                pc.BlockSpec(theta=pc.Zero(), set=pc.NonNeg(), A=np.eye(2), ortho_scaled=True),
             ),
-            pc.BlockSpec(theta=pc.Zero(), set=pc.NonNeg(), A=np.eye(1), ortho_scaled=True),
-        ),
-        b=np.array([2.0]),
-        sense=pc.GE,
-    )
-    data = pc.problem_to_json(prob)
-    back = pc.problem_from_json(data)
-    assert back.sense == prob.sense
-    assert back.p == prob.p and back.m == prob.m
-    np.testing.assert_array_equal(back.b, prob.b)
-    for orig, rt in zip(prob.blocks, back.blocks):
-        np.testing.assert_array_equal(orig.A, rt.A)
-        assert type(orig.theta) is type(rt.theta)
-        assert type(orig.set) is type(rt.set)
-        assert orig.ortho_scaled == rt.ortho_scaled
+            b=np.array([2.0, 1.0]),
+            sense=pc.GE,
+        )
+        data = pc.problem_to_json(prob)
+        back = pc.problem_from_json(data)
+        assert pc.problem_to_json(back) == data
+        assert back.sense == prob.sense
+        assert back.p == prob.p and back.m == prob.m
+        np.testing.assert_array_equal(back.b, prob.b)
+        for orig, rt in zip(prob.blocks, back.blocks):
+            np.testing.assert_array_equal(orig.A, rt.A)
+            assert type(orig.theta) is type(rt.theta)
+            assert type(orig.set) is type(rt.set)
+            assert orig.ortho_scaled == rt.ortho_scaled
+
+
+def test_json_of_a_custom_atom_is_refused():
+    blk = pc.BlockSpec(theta=pc.Custom(value=lambda x: 0.0, solve=None), A=[[1.0]])
+    with pytest.raises(ValueError, match="Custom cannot be serialized"):
+        pc.problem_to_json(pc.SeparableProblem(blocks=(blk,), b=[0.0]))
+
+
+def test_l1_weight_is_converted_when_built():
+    assert type(pc.WeightedL1(np.float32(0.5)).tau) is float
+    with pytest.raises(TypeError):
+        pc.WeightedL1([1.0])
+
+
+def test_readme_schema_example_loads_and_solves():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Problem JSON schema", 1)[1]
+    example = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+    prob = pc.problem_from_json(example)
+    assert pc.problem_to_json(prob) == example
+    result = pc.run(prob, pc.SolverConfig())
+    assert result.reason.kind == pc.CONVERGED
 
 
 def test_json_malformed_names_key():

@@ -381,6 +381,24 @@ def test_non_finite_block_solve_stops_after_one_row(variant):
     assert len(result.log) == 1
 
 
+@pytest.mark.parametrize("box", [False, True])
+def test_non_finite_target_on_the_pg_route_stops_after_one_row(box):
+    # block 0 hands block 1 a NaN target; the pg route must pass it on
+    # rather than spin its inner loop to the iteration cap
+    nan_block = pc.Custom(value=lambda x: 0.0, solve=lambda req, inner_tol, x0: np.full(2, np.nan))
+    st = pc.Box(np.zeros(2), np.ones(2)) if box else pc.NonNeg()
+    prob = pc.SeparableProblem(
+        blocks=(
+            pc.BlockSpec(theta=nan_block, A=np.eye(2)),
+            pc.BlockSpec(theta=pc.Quadratic(np.eye(2), np.zeros(2)), set=st, A=np.eye(2)),
+        ),
+        b=np.zeros(2),
+    )
+    result = pc.run(prob, pc.SolverConfig())
+    assert result.reason.kind == pc.NON_FINITE
+    assert len(result.log) == 1
+
+
 def test_custom_solve_of_the_wrong_shape_stops_the_run():
     def wrong_shape(req, inner_tol, x0):
         return np.zeros(3)
