@@ -16,7 +16,6 @@ from .matrices import (
     FrameworkReport,
     build_g,
     build_h,
-    build_lie,
     build_m,
     build_p,
     build_q,
@@ -48,7 +47,6 @@ from .model import (
     objective_value,
     problem_from_json,
     problem_to_json,
-    theta_value,
     validate_problem,
 )
 from .predictor import compile_blocks, predict_dp, predict_pd

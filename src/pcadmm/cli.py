@@ -120,11 +120,11 @@ def cmd_solve(args) -> int:
         result.log.to_csv(args.log)
 
     log = result.log
-    last = len(log) - 1
-    print(f"objective={log.objective[last]!r}")
-    print(f"primal_res={log.primal_res[last]!r}")
-    print(f"compl_res={log.compl_res[last]!r}")
-    print(f"pred_gap={log.pred_gap[last]!r}")
+    if len(log):  # empty when a block failed before the first iteration
+        print(f"objective={log.objective[-1]!r}")
+        print(f"primal_res={log.primal_res[-1]!r}")
+        print(f"compl_res={log.compl_res[-1]!r}")
+        print(f"pred_gap={log.pred_gap[-1]!r}")
     print(f"iters={len(log)}")
     print(f"reason={result.reason.kind}")
     if result.reason.detail:

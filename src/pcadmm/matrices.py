@@ -28,7 +28,6 @@ from .model import SeparableProblem
 __all__ = [
     "ClosedFormMismatchError",
     "FrameworkReport",
-    "build_lie",
     "build_p",
     "build_q",
     "build_m",
@@ -82,22 +81,6 @@ def _check_variant(variant):
 def _check_nu(nu):
     if not 0.0 < nu < 1.0:
         raise ValueError("nu must lie in (0,1)")
-
-
-def build_lie(p: int, m: int):
-    """The p x p block matrices L (lower triangle of identities) and I,
-    plus the 1 x p block row E of identities.
-
-    They satisfy L^{-1} = I - subdiagonal identities and
-    L' + L = I + E'E, which the factories below lean on.
-    """
-    if p < 1 or m < 1:
-        raise ValueError("p and m must be at least 1")
-    eye_m = np.eye(m)
-    L = np.kron(np.tril(np.ones((p, p))), eye_m)
-    I = np.eye(p * m)
-    E = np.kron(np.ones((1, p)), eye_m)
-    return L, I, E
 
 
 def build_p(problem: SeparableProblem, beta: float) -> np.ndarray:

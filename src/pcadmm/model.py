@@ -43,7 +43,6 @@ __all__ = [
     "PredictorState",
     "SolverConfig",
     "validate_problem",
-    "theta_value",
     "objective_value",
     "lagrangian_value",
     "feasibility_residual",
@@ -96,7 +95,8 @@ def _as_aggregates(a, name):
 
 
 # ---------------------------------------------------------------------------
-# Block objective atoms
+# Block objective atoms: value(x) = theta(x), and parts() = (H, c, tau)
+# with theta = 0.5 x'Hx + c'x + tau ||x||_1 (H None if there is no x'Hx).
 
 
 @dataclass(frozen=True)
@@ -110,6 +110,12 @@ class Quadratic:
         object.__setattr__(self, "H", np.asarray(self.H, dtype=float))
         object.__setattr__(self, "c", _as_vector(self.c, "c"))
 
+    def value(self, x):
+        return float(0.5 * x @ self.H @ x + self.c @ x)
+
+    def parts(self):
+        return self.H, self.c, 0.0
+
 
 @dataclass(frozen=True)
 class WeightedL1:
@@ -120,10 +126,22 @@ class WeightedL1:
     def __post_init__(self):
         object.__setattr__(self, "tau", float(self.tau))
 
+    def value(self, x):
+        return float(self.tau * np.sum(np.abs(x)))
+
+    def parts(self):
+        return None, 0.0, self.tau
+
 
 @dataclass(frozen=True)
 class Zero:
     """theta(x) = 0."""
+
+    def value(self, x):
+        return 0.0
+
+    def parts(self):
+        return None, 0.0, 0.0
 
 
 @dataclass(frozen=True)
@@ -142,17 +160,23 @@ class Custom:
 
 
 # ---------------------------------------------------------------------------
-# Block constraint sets
+# Block constraint sets: project(v) is the projection of v onto the set.
 
 
 @dataclass(frozen=True)
 class Free:
     """No set constraint."""
 
+    def project(self, v):
+        return v
+
 
 @dataclass(frozen=True)
 class NonNeg:
     """Componentwise x >= 0."""
+
+    def project(self, v):
+        return np.maximum(v, 0.0)
 
 
 @dataclass(frozen=True)
@@ -165,6 +189,9 @@ class Box:
     def __post_init__(self):
         object.__setattr__(self, "lo", _as_vector(self.lo, "lo"))
         object.__setattr__(self, "hi", _as_vector(self.hi, "hi"))
+
+    def project(self, v):
+        return np.clip(v, self.lo, self.hi)
 
 
 @dataclass(frozen=True)
@@ -180,15 +207,15 @@ class BlockSpec:
     theta: object
     set: object = field(default_factory=Free)
     A: np.ndarray = None
-    n: int = None
     ortho_scaled: bool = False
+    n: int = field(init=False)
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
         if A.ndim != 2:
             raise ValueError(f"A must be a matrix, got shape {A.shape}")
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "n", A.shape[1] if self.n is None else int(self.n))
+        object.__setattr__(self, "n", A.shape[1])
 
 
 @dataclass(frozen=True)
@@ -311,8 +338,6 @@ def validate_problem(problem: SeparableProblem) -> list:
             out.append(f"block {i}: A has wrong row count ({blk.A.shape[0]} != {m})")
         if blk.n < 1:
             out.append(f"block {i}: dimension must be at least 1")
-        if blk.A.shape[1] != blk.n:
-            out.append(f"block {i}: A has {blk.A.shape[1]} columns but n={blk.n}")
         if not _finite(blk.A):
             out.append(f"block {i}: A has non-finite entries")
         elif blk.ortho_scaled and not _ortho_scaled_holds(blk.A):
@@ -350,24 +375,10 @@ def validate_problem(problem: SeparableProblem) -> list:
     return out
 
 
-def theta_value(theta, x) -> float:
-    """Evaluate one block objective atom at x."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(theta, Quadratic):
-        return float(0.5 * x @ theta.H @ x + theta.c @ x)
-    if isinstance(theta, WeightedL1):
-        return float(theta.tau * np.sum(np.abs(x)))
-    if isinstance(theta, Zero):
-        return 0.0
-    if isinstance(theta, Custom):
-        return float(theta.value(x))
-    raise TypeError(f"unknown objective atom {type(theta).__name__}")
-
-
 def objective_value(problem: SeparableProblem, x) -> float:
     """sum_i theta_i(x_i) for a list of block vectors."""
     _check_block_dims(problem, x)
-    return float(sum(theta_value(blk.theta, xi) for blk, xi in zip(problem.blocks, x)))
+    return float(sum(blk.theta.value(np.asarray(xi, dtype=float)) for blk, xi in zip(problem.blocks, x)))
 
 
 def lagrangian_value(problem: SeparableProblem, x, lam) -> float:
@@ -422,7 +433,8 @@ def _check_block_dims(problem, x):
 #
 # {"m": int (optional, must equal len(b)), "sense": "eq"|"ge", "b": [...],
 #  "blocks": [{"A": [[...]], "theta": spec, "set": spec (default free),
-#              "n": int (optional), "ortho_scaled": bool (optional)}, ...]}
+#              "n": int (optional, must equal A's column count),
+#              "ortho_scaled": bool (optional)}, ...]}
 #
 # A spec is {"type": name, field: value, ...}: the name is the class's
 # key in _JSON_TYPES, and its other keys are the dataclass fields.
@@ -469,13 +481,15 @@ def _block_from_json(i, rb):
     try:
         if not isinstance(rb, dict):
             raise ValueError(f"must be an object, got {rb!r}")
-        return BlockSpec(
+        blk = BlockSpec(
             theta=_spec_from_json("theta", rb["theta"]),
             set=_spec_from_json("set", rb.get("set", {"type": "free"})),
             A=rb["A"],
-            n=rb.get("n"),
             ortho_scaled=bool(rb.get("ortho_scaled", False)),
         )
+        if rb.get("n", blk.n) != blk.n:
+            raise ValueError(f"key 'n' is {rb['n']!r} but A has {blk.n} columns")
+        return blk
     except KeyError as e:
         raise ValueError(f"block {i}: missing key {e}") from e
     except (TypeError, ValueError, OverflowError) as e:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .matrices import split_stacked
 from .model import (
     EQ,
     GE,
@@ -46,6 +47,11 @@ MAX_ACTIVE_SET_ROWS = 12
 ACTIVE_SET_TOL = 1e-9
 LASSO_ORACLE_TOL = 1e-13
 
+# The spectrum range of random quadratic blocks, and the cost per unit
+# of slack in the toy SVM.
+SPD_SPECTRUM = (1.0, 10.0)
+SVM_SLACK_COST = 1.0
+
 
 @dataclass(frozen=True)
 class ReferenceSolution:
@@ -58,10 +64,10 @@ class ReferenceSolution:
     objective: float
 
 
-def _random_spd(rng, n, lo=1.0, hi=10.0):
-    """Symmetric positive definite matrix with spectrum in [lo, hi]."""
+def _random_spd(rng, n):
+    """Symmetric positive definite matrix with spectrum in SPD_SPECTRUM."""
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    eigs = rng.uniform(lo, hi, size=n)
+    eigs = rng.uniform(*SPD_SPECTRUM, size=n)
     return (Q * eigs) @ Q.T
 
 
@@ -91,23 +97,10 @@ def _full_qp_data(problem):
     return Hfull, c, A
 
 
-def _split_primal(problem, x):
-    out, pos = [], 0
-    for blk in problem.blocks:
-        out.append(x[pos : pos + blk.n])
-        pos += blk.n
-    return tuple(out)
-
-
 def _reference_from_primal(problem, x, lam):
-    x_blocks = _split_primal(problem, np.asarray(x, dtype=float))
+    x_blocks, lam = split_stacked(problem, np.concatenate([x, lam]))
     a = tuple(blk.A @ xi for blk, xi in zip(problem.blocks, x_blocks))
-    return ReferenceSolution(
-        x=x_blocks,
-        a=a,
-        lam=np.asarray(lam, dtype=float),
-        objective=objective_value(problem, x_blocks),
-    )
+    return ReferenceSolution(x=tuple(x_blocks), a=a, lam=lam, objective=objective_value(problem, x_blocks))
 
 
 def kkt_oracle(problem: SeparableProblem) -> ReferenceSolution:
@@ -285,10 +278,10 @@ def gen_lasso(n, samples, tau, seed, data=None):
     return problem, ref
 
 
-def gen_toy_svm(points, seed=0, slack_cost=1.0):
+def gen_toy_svm(points, seed=0):
     """Soft-margin linear classifier as an inequality-constrained QP.
 
-        min 0.5||w||^2 + C sum_j s_j
+        min 0.5||w||^2 + C sum_j s_j,   C = SVM_SLACK_COST,
         s.t. y_j (x_j'w) + s_j >= 1,   s >= 0.
 
     ``points`` is either an integer (that many random labeled samples
@@ -320,7 +313,7 @@ def gen_toy_svm(points, seed=0, slack_cost=1.0):
     blocks = (
         BlockSpec(theta=Quadratic(np.eye(dim), np.zeros(dim)), set=Free(), A=A1),
         BlockSpec(
-            theta=Quadratic(np.zeros((k, k)), slack_cost * np.ones(k)),
+            theta=Quadratic(np.zeros((k, k)), SVM_SLACK_COST * np.ones(k)),
             set=NonNeg(),
             A=np.eye(k),
             ortho_scaled=True,

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .model import Box, Custom, Free, GE, NonNeg, Quadratic, WeightedL1, Zero
+from .model import Custom, Free, GE, NonNeg
 
 __all__ = [
     "BlockPlan",
@@ -98,26 +98,10 @@ def prox_shrink(v, tau):
 
 def project_set(v, set_spec):
     """Euclidean projection of v onto a block set."""
-    v = np.asarray(v, dtype=float)
-    if isinstance(set_spec, Free):
-        return v
-    if isinstance(set_spec, NonNeg):
-        return np.maximum(v, 0.0)
-    if isinstance(set_spec, Box):
-        return np.clip(v, set_spec.lo, set_spec.hi)
-    raise TypeError(f"unknown set {type(set_spec).__name__}")
-
-
-def _atom_parts(theta):
-    """``(H, c, tau)`` with theta(x) = 0.5 x'Hx + c'x + tau ||x||_1;
-    ``H`` is None when the atom has no quadratic term."""
-    if isinstance(theta, Quadratic):
-        return theta.H, theta.c, 0.0
-    if isinstance(theta, WeightedL1):
-        return None, 0.0, float(theta.tau)
-    if isinstance(theta, Zero):
-        return None, 0.0, 0.0
-    raise TypeError(f"unknown objective atom {type(theta).__name__}")
+    project = getattr(set_spec, "project", None)
+    if project is None:
+        raise TypeError(f"unknown set {type(set_spec).__name__}")
+    return project(np.asarray(v, dtype=float))
 
 
 def compile_block(theta, set_spec, A, beta, ortho_scaled=False) -> BlockPlan:
@@ -154,7 +138,10 @@ def compile_block(theta, set_spec, A, beta, ortho_scaled=False) -> BlockPlan:
 
         return BlockPlan("custom", solve_custom)
 
-    H, c, tau = _atom_parts(theta)
+    parts = getattr(theta, "parts", None)
+    if parts is None:
+        raise TypeError(f"unknown objective atom {type(theta).__name__}")
+    H, c, tau = parts()
     beta = float(beta)
 
     def target(v):
@@ -175,16 +162,18 @@ def compile_block(theta, set_spec, A, beta, ortho_scaled=False) -> BlockPlan:
     S *= beta
     if H is not None:
         S += H
-    if isinstance(theta, Quadratic) and isinstance(set_spec, Free):
+    if H is not None and isinstance(set_spec, Free):
+        m = A.shape[0]
         try:
+            # rhs is built after cholesky's factor is freed, so the two
+            # never add to the peak memory together
             np.linalg.cholesky(S)
+            rhs = np.empty((n, m + 1))
+            np.multiply(A.T, beta, out=rhs[:, :m])
+            np.negative(c, out=rhs[:, m])
+            sol = np.linalg.solve(S, rhs)
         except np.linalg.LinAlgError:
             raise SingularSystemError("normal matrix H + beta*A'A is singular") from None
-        m = A.shape[0]
-        rhs = np.empty((n, m + 1))
-        np.multiply(A.T, beta, out=rhs[:, :m])
-        np.negative(c, out=rhs[:, m])
-        sol = np.linalg.solve(S, rhs)
         K, x_c = sol[:, :m], sol[:, m]
 
         def solve_exact(req, inner_tol, x0):

@@ -95,6 +95,31 @@ def test_solve_non_finite_exit_code(tmp_path):
     assert kv["detail"].startswith("iteration 0: primal_res=inf")
 
 
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        # a non-convex block on the orthant fails to compile
+        [
+            {"A": [[0.1]], "theta": {"type": "quadratic", "H": [[-1.0]], "c": [0.1]}, "set": {"type": "nonneg"}},
+            {"A": [[1.0]], "theta": {"type": "quadratic", "H": [[1.0]], "c": [0.0]}},
+        ],
+        # a singular exact block whose cholesky check passes on roundoff
+        [{"A": [[1.0, 1.0], [1.0, 1.0]], "theta": {"type": "quadratic", "H": [[0.0, 0.0], [0.0, 0.0]], "c": [0.0, 0.0]}}],
+    ],
+    ids=["non-convex", "singular"],
+)
+def test_solve_reports_a_block_that_fails_before_the_first_iteration(blocks, tmp_path):
+    path = tmp_path / "fail.json"
+    path.write_text(json.dumps({"sense": "eq", "b": [0.0] * len(blocks[0]["A"]), "blocks": blocks}))
+    proc = run_cli("solve", "--problem", str(path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    kv = parse_kv(proc.stdout)
+    assert kv["iters"] == "0" and kv["reason"] == "subproblem_failure"
+    assert kv["detail"].startswith("block 0: normal matrix")
+    assert "objective" not in kv
+
+
 def test_solve_malformed_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"sense": "eq", "b": [0.0], "blocks": [{"n": 1, "A": [[1.0]], "theta": {"type": "l1"}}]}))
@@ -200,6 +225,7 @@ MALFORMED = {
     "set-int": lambda d: d["blocks"][1].update(set=5),
     "n-list": lambda d: d["blocks"][0].update(n=[1]),
     "n-infinite": lambda d: d["blocks"][0].update(n=float("inf")),
+    "n-wrong": lambda d: d["blocks"][0].update(n=2),
     "m-list": lambda d: d.update(m=[1]),
     "theta-int": lambda d: d["blocks"][0].update(theta=5),
     "A-object": lambda d: d["blocks"][0].update(A={"rows": [[1.0]]}),

@@ -8,29 +8,6 @@ from pcadmm import matrices
 from pcadmm.cli import DEFAULT_NU_LIST
 
 
-def test_lie_two_blocks():
-    L, I, E = pc.build_lie(2, 1)
-    np.testing.assert_array_equal(L, [[1, 0], [1, 1]])
-    np.testing.assert_array_equal(E, [[1, 1]])
-    np.testing.assert_array_equal(L.T + L, I + E.T @ E)
-
-
-def test_lie_degenerate():
-    L, I, E = pc.build_lie(1, 1)
-    np.testing.assert_array_equal(L, [[1.0]])
-    np.testing.assert_array_equal(I, [[1.0]])
-    np.testing.assert_array_equal(E, [[1.0]])
-
-
-def test_lie_inverse_closed_form():
-    for p, m in [(3, 1), (4, 2), (5, 3)]:
-        L, I, E = pc.build_lie(p, m)
-        inv = np.linalg.inv(L)
-        expect = np.kron(np.eye(p) - np.eye(p, k=-1), np.eye(m))
-        assert np.max(np.abs(inv - expect)) <= 1e-12
-        np.testing.assert_allclose(L.T + L, I + E.T @ E)
-
-
 def test_build_p_scales():
     prob = pc.SeparableProblem(
         blocks=(pc.BlockSpec(theta=pc.Zero(), set=pc.Free(), A=[[2.0]]),), b=[0.0]

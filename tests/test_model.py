@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import pcadmm as pc
+from pcadmm import model
 
 
 def two_block_problem():
@@ -231,6 +232,40 @@ def test_solver_config_validation():
         pc.SolverConfig(inner_tol=0.0)
     with pytest.raises(ValueError, match="inner_tol"):
         pc.SolverConfig(inner_tol=-1e-10)
+
+
+# Every atom at x = (1, -2) and every set's projection of v = (-1.5, 0.5, 3), by hand.
+HAND_VALUES = {
+    pc.Quadratic: (pc.Quadratic([[2.0, 0.0], [0.0, 1.0]], [1.0, 1.0]), 2.0),  # 0.5 (2 + 4) + (1 - 2)
+    pc.WeightedL1: (pc.WeightedL1(0.5), 1.5),
+    pc.Zero: (pc.Zero(), 0.0),
+    pc.Custom: (pc.Custom(value=lambda x: float(x @ x), solve=None), 5.0),
+    pc.Free: (pc.Free(), [-1.5, 0.5, 3.0]),
+    pc.NonNeg: (pc.NonNeg(), [0.0, 0.5, 3.0]),
+    pc.Box: (pc.Box(lo=[-1.0, 1.0, 0.0], hi=[1.0, 2.0, 2.0]), [-1.0, 1.0, 2.0]),
+}
+SET_TYPES = tuple(model._JSON_TYPES["set"].values())
+
+
+@pytest.mark.parametrize(
+    "cls", [*model._JSON_TYPES["theta"].values(), pc.Custom, *SET_TYPES], ids=lambda cls: cls.__name__
+)
+def test_atom_values_and_set_projections(cls):
+    spec, expected = HAND_VALUES[cls]
+    if cls in SET_TYPES:
+        np.testing.assert_array_equal(pc.project_set([-1.5, 0.5, 3.0], spec), expected)
+    else:
+        prob = pc.SeparableProblem(blocks=(pc.BlockSpec(theta=spec, A=np.ones((1, 2))),), b=[0.0])
+        assert pc.objective_value(prob, [[1.0, -2.0]]) == expected
+
+
+def test_block_dimension_comes_from_a():
+    assert pc.BlockSpec(theta=pc.Zero(), A=np.ones((3, 2))).n == 2
+    with pytest.raises(TypeError):
+        pc.BlockSpec(theta=pc.Zero(), A=np.ones((3, 2)), n=2)
+    data = {"sense": "eq", "b": [0.0], "blocks": [{"n": 2, "A": [[1.0]], "theta": {"type": "zero"}}]}
+    with pytest.raises(ValueError, match="block 0: key 'n' is 2 but A has 1 columns"):
+        pc.problem_from_json(data)
 
 
 def test_json_round_trip():

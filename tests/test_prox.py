@@ -38,6 +38,16 @@ def test_project_set_idempotent():
         np.testing.assert_array_equal(pc.project_set(once, s), once)
 
 
+def test_unknown_atom_or_set_is_a_type_error():
+    class Strange:
+        pass
+
+    with pytest.raises(TypeError, match="unknown objective atom Strange"):
+        pc.compile_block(Strange(), pc.Free(), np.eye(2), 1.0)
+    with pytest.raises(TypeError, match="unknown set Strange"):
+        pc.project_set(np.zeros(2), Strange())
+
+
 def quad_request(H, c, A, beta, v):
     return SubproblemRequest(theta=pc.Quadratic(H, c), set=pc.Free(), A=np.asarray(A, float), beta=beta, v=np.asarray(v, float))
 

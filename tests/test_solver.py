@@ -69,6 +69,20 @@ def test_subproblem_failure_aborts_with_partial_log():
     assert result.solution is None and len(result.log) == 0
 
 
+def test_singular_exact_block_that_passes_cholesky_stops_the_run():
+    # S = A'A = [[2, 2], [2, 2]] is singular, yet cholesky may accept it
+    # on roundoff (last pivot about 2e-8); the solve that follows must
+    # then end the run with subproblem_failure, not a raw LinAlgError
+    prob = pc.SeparableProblem(
+        blocks=(pc.BlockSpec(theta=pc.Quadratic(np.zeros((2, 2)), np.zeros(2)), set=pc.Free(), A=np.ones((2, 2))),),
+        b=[0.0, 0.0],
+    )
+    result = pc.run(prob, pc.SolverConfig())
+    assert result.reason.kind == pc.SUBPROBLEM_FAILURE
+    assert result.reason.detail.startswith("block 0: normal matrix")
+    assert result.solution is None and len(result.log) == 0
+
+
 def zero_normal_matrix_problem(set_spec):
     # block 2 has H = 0 and A = 0, so its normal matrix is zero; on the
     # unit box the optimum is x1 = (1, 1), x2 = (0, 1), objective 0
