@@ -245,6 +245,9 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except OSError as e:  # reads fail earlier, as CliError: this is a --log, --log-dir or --dump write
+        print(f"error: {e.filename or 'output'} cannot be written: {e.strerror or e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -75,15 +75,20 @@ def _finite(x):
 
 
 def _ortho_scaled_holds(A):
-    # A'(A z) = c z to a relative 1e-12 on one fixed probe z with no
-    # zero entries, where c = ||A e_1||^2 is the scale the closed-form
-    # route uses.  Two matvecs, O(mn), where forming A'A would be O(mn^2).
-    if A.shape[1] == 0:
+    # A'A = cI with c = ||A e_1||^2 > 0, to a relative 1e-12, in O(mn)
+    # where forming A'A is O(mn^2); rank(A) <= m rules out n > m.  Equal
+    # squared column norms are exact and necessary; then A'(A z) = c z on
+    # a probe whose entries 2 + cos(j) have no small integer relation for
+    # an off-diagonal error to cancel on.  NaN, inf or overflow compare False.
+    m, n = A.shape
+    if n == 0 or n > m:
         return False
-    c = float(A[:, 0] @ A[:, 0])
-    z = np.arange(1.0, A.shape[1] + 1)
-    r = A.T @ (A @ z) - c * z
-    return c > 0 and r @ r <= (1e-12 * c) ** 2 * (z @ z)
+    with np.errstate(all="ignore"):
+        cols = np.einsum("ij,ij->j", A, A)
+        c = cols[0]
+        z = 2.0 + np.cos(np.arange(n))
+        r = A.T @ (A @ z) - c * z
+        return bool(c > 0 and abs(cols - c).max() <= 1e-12 * c and r @ r <= (1e-12 * c) ** 2 * (z @ z))
 
 
 def _as_aggregates(a, name):
@@ -152,7 +157,7 @@ class Custom:
     must return the minimizer of ``theta(x) + (beta/2)||Ax - v||^2``
     over the block's set, as an array of shape ``(n,)``, where
     ``request`` is the :class:`~pcadmm.prox.SubproblemRequest` being
-    dispatched.
+    dispatched; its ``ortho_scaled`` is the flag the block derived from A.
     """
 
     value: Callable[[np.ndarray], float]
@@ -198,17 +203,17 @@ class Box:
 class BlockSpec:
     """One objective block: its atom, set, and coupling matrix A (m x n).
 
-    ``ortho_scaled`` declares that A'A is a positive multiple of the
-    identity, which unlocks closed-form subproblem solves; it is an
-    explicit flag rather than something detected numerically at run
-    time.
+    ``n`` and ``ortho_scaled`` are derived from A, not passed.
+    ``ortho_scaled`` is True when A'A = cI with c = ||A e_1||^2 > 0, to
+    a relative 1e-12; a block with no x'Hx term then solves in one
+    closed-form prox step.
     """
 
     theta: object
     set: object = field(default_factory=Free)
     A: np.ndarray = None
-    ortho_scaled: bool = False
     n: int = field(init=False)
+    ortho_scaled: bool = field(init=False)
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
@@ -216,6 +221,7 @@ class BlockSpec:
             raise ValueError(f"A must be a matrix, got shape {A.shape}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "n", A.shape[1])
+        object.__setattr__(self, "ortho_scaled", _ortho_scaled_holds(A))
 
 
 @dataclass(frozen=True)
@@ -326,8 +332,7 @@ def validate_problem(problem: SeparableProblem) -> list:
     Returns a list of human-readable messages, one per violation; an
     empty list means the problem is well formed.  Nothing is raised, so
     callers can report all defects at once.  Every data entry must be
-    finite, except that box bounds may be infinite (but not NaN), and a
-    block flagged ``ortho_scaled`` must have A'A = cI with c > 0.
+    finite, except that box bounds may be infinite (but not NaN).
     """
     out = []
     m = problem.m
@@ -340,8 +345,6 @@ def validate_problem(problem: SeparableProblem) -> list:
             out.append(f"block {i}: dimension must be at least 1")
         if not _finite(blk.A):
             out.append(f"block {i}: A has non-finite entries")
-        elif blk.ortho_scaled and not _ortho_scaled_holds(blk.A):
-            out.append(f"block {i}: ortho_scaled is declared but A'A is not a positive multiple of the identity")
         th = blk.theta
         if isinstance(th, Quadratic):
             if th.H.shape != (blk.n, blk.n):
@@ -433,11 +436,11 @@ def _check_block_dims(problem, x):
 #
 # {"m": int (optional, must equal len(b)), "sense": "eq"|"ge", "b": [...],
 #  "blocks": [{"A": [[...]], "theta": spec, "set": spec (default free),
-#              "n": int (optional, must equal A's column count),
-#              "ortho_scaled": bool (optional)}, ...]}
+#              "n": int (optional, must equal A's column count)}, ...]}
 #
 # A spec is {"type": name, field: value, ...}: the name is the class's
-# key in _JSON_TYPES, and its other keys are the dataclass fields.
+# key in _JSON_TYPES, and its other keys are the dataclass fields.  Other
+# keys are ignored, such as the "ortho_scaled" that BlockSpec derives.
 
 _JSON_TYPES = {
     "theta": {"quadratic": Quadratic, "l1": WeightedL1, "zero": Zero},
@@ -471,8 +474,6 @@ def problem_to_json(problem: SeparableProblem) -> dict:
     for blk in problem.blocks:
         d = {"n": blk.n, "A": blk.A.tolist()}
         d["theta"], d["set"] = _spec_to_json("theta", blk.theta), _spec_to_json("set", blk.set)
-        if blk.ortho_scaled:
-            d["ortho_scaled"] = True
         blocks.append(d)
     return {"m": problem.m, "sense": problem.sense, "b": problem.b.tolist(), "blocks": blocks}
 
@@ -485,7 +486,6 @@ def _block_from_json(i, rb):
             theta=_spec_from_json("theta", rb["theta"]),
             set=_spec_from_json("set", rb.get("set", {"type": "free"})),
             A=rb["A"],
-            ortho_scaled=bool(rb.get("ortho_scaled", False)),
         )
         if rb.get("n", blk.n) != blk.n:
             raise ValueError(f"key 'n' is {rb['n']!r} but A has {blk.n} columns")

@@ -33,7 +33,7 @@ def compile_blocks(problem, beta):
     plans = []
     for i, blk in enumerate(problem.blocks):
         try:
-            plans.append(compile_block(blk.theta, blk.set, blk.A, beta, blk.ortho_scaled))
+            plans.append(compile_block(blk, beta))
         except SubproblemError as e:
             raise type(e)(f"block {i}: {e}") from e
     return plans

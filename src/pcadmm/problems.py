@@ -253,8 +253,8 @@ def gen_lasso(n, samples, tau, seed, data=None):
     H = D.T @ D
     c = -D.T @ d
     blocks = (
-        BlockSpec(theta=Quadratic(H, c), set=Free(), A=np.eye(n), ortho_scaled=True),
-        BlockSpec(theta=WeightedL1(tau), set=Free(), A=-np.eye(n), ortho_scaled=True),
+        BlockSpec(theta=Quadratic(H, c), set=Free(), A=np.eye(n)),
+        BlockSpec(theta=WeightedL1(tau), set=Free(), A=-np.eye(n)),
     )
     problem = SeparableProblem(blocks=blocks, b=np.zeros(n), sense=EQ)
 
@@ -312,11 +312,6 @@ def gen_toy_svm(points, seed=0):
     A1 = np.array([y * x for x, y in data], dtype=float)  # rows y_j x_j'
     blocks = (
         BlockSpec(theta=Quadratic(np.eye(dim), np.zeros(dim)), set=Free(), A=A1),
-        BlockSpec(
-            theta=Quadratic(np.zeros((k, k)), SVM_SLACK_COST * np.ones(k)),
-            set=NonNeg(),
-            A=np.eye(k),
-            ortho_scaled=True,
-        ),
+        BlockSpec(theta=Quadratic(np.zeros((k, k)), SVM_SLACK_COST * np.ones(k)), set=NonNeg(), A=np.eye(k)),
     )
     return SeparableProblem(blocks=blocks, b=np.ones(k), sense=GE)

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .model import Custom, Free, GE, NonNeg
+from .model import BlockSpec, Custom, Free, GE, NonNeg
 
 __all__ = [
     "BlockPlan",
@@ -68,7 +68,8 @@ class SubproblemRequest:
 
     ``v`` already carries the Gauss-Seidel drift of the earlier blocks
     and the multiplier term, so the request is self-contained.
-    ``ortho_scaled`` mirrors the block flag declaring A'A = c*I.
+    ``ortho_scaled`` copies the block's derived flag for observers such
+    as tracers; the solve never reads it, and its route comes from A.
     ``plan`` is the block's :func:`compile_block` plan, or None to
     compile one for this request.
     """
@@ -104,15 +105,16 @@ def project_set(v, set_spec):
     return project(np.asarray(v, dtype=float))
 
 
-def compile_block(theta, set_spec, A, beta, ortho_scaled=False) -> BlockPlan:
-    """Choose a block's route once and do its setup.
+def compile_block(block, beta) -> BlockPlan:
+    """Choose a :class:`~pcadmm.model.BlockSpec`'s route once, do its setup.
 
     Custom atoms delegate to their own solver, whose result must have
     shape ``(n,)``.  A built-in atom gives the normal form with
     S = H + beta A'A and r = beta A'v - c, and
 
-    * ``ortho_scaled`` with H = 0 (S = L*I), route ``closed``: x is the
-      single prox step ``project_set(prox_shrink(r/L, tau/L), set)``;
+    * ``block.ortho_scaled`` (A'A = cI) with H absent or zero, so S = L*I,
+      route ``closed``: x is the single prox step
+      ``project_set(prox_shrink(r/L, tau/L), set)``;
     * quadratic atom, free set, route ``exact``: S is checked positive
       definite (else :class:`SingularSystemError`) and factored once
       into K = S^-1 beta A' and x_c = -S^-1 c, so x = K v + x_c;
@@ -127,7 +129,7 @@ def compile_block(theta, set_spec, A, beta, ortho_scaled=False) -> BlockPlan:
 
     A finite returned point is exactly feasible for nonneg/box sets.
     """
-    n = A.shape[1]
+    theta, set_spec, A, n = block.theta, block.set, block.A, block.n
     if isinstance(theta, Custom):
 
         def solve_custom(req, inner_tol, x0):
@@ -147,7 +149,7 @@ def compile_block(theta, set_spec, A, beta, ortho_scaled=False) -> BlockPlan:
     def target(v):
         return beta * (A.T @ np.asarray(v, dtype=float)) - c
 
-    if ortho_scaled and (H is None or not H.any()):
+    if block.ortho_scaled and (H is None or not H.any()):
         L = beta * float(A[:, 0] @ A[:, 0])
         tau_L = tau / L
 
@@ -206,13 +208,13 @@ def compile_block(theta, set_spec, A, beta, ortho_scaled=False) -> BlockPlan:
 
 def solve_block_subproblem(req: SubproblemRequest, inner_tol: float, x0=None):
     """Solve one block subproblem with ``req.plan``, or with a plan
-    compiled for this call (see :func:`compile_block`); returns
-    ``(x, A @ x)``."""
+    compiled for this call from ``req``'s theta, set and A (see
+    :func:`compile_block`); returns ``(x, A @ x)``."""
     if inner_tol <= 0:
         raise ValueError("inner_tol must be positive")
     plan = req.plan
     if plan is None:
-        plan = compile_block(req.theta, req.set, req.A, req.beta, req.ortho_scaled)
+        plan = compile_block(BlockSpec(theta=req.theta, set=req.set, A=req.A), req.beta)
     return plan.solve(req, inner_tol, x0)
 
 

@@ -208,6 +208,25 @@ def test_bench_dump_round_trips(tmp_path):
         assert pc.validate_problem(prob) == []
 
 
+@pytest.mark.parametrize(
+    "args, target",
+    [
+        (["solve", "--problem", "{problem}", "--log", "{tmp}/missing/x.csv"], "{tmp}/missing/x.csv"),
+        (["bench", "--suite", "eq-qp", "--log-dir", "{problem}"], "{problem}"),
+        (["bench", "--suite", "eq-qp", "--dump", "{problem}/x"], "{problem}/x"),
+    ],
+    ids=["solve-log", "bench-log-dir", "bench-dump"],
+)
+def test_an_unwritable_output_path_is_an_error(args, target, toy_problem_file, tmp_path):
+    def fill(s):
+        return s.format(problem=toy_problem_file, tmp=tmp_path)
+
+    proc = run_cli(*map(fill, args))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {fill(target)} cannot be written: ")
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("flag, key", [("--init", "x"), ("--reference", "a")])
 def test_solve_rejects_a_malformed_init_or_reference(toy_problem_file, tmp_path, flag, key):
     path = tmp_path / "start.json"

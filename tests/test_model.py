@@ -1,5 +1,6 @@
 import itertools
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -100,35 +101,109 @@ def test_validate_non_finite_data():
     assert len(errors) == 5
 
 
-def test_validate_false_ortho_scaled_flag():
-    # with the flag the closed-form route "converges" to objective 0.24;
-    # the honest run reaches the optimum 0.0978
-    def problem(flag):
-        return pc.SeparableProblem(
-            blocks=(
-                pc.BlockSpec(theta=pc.Quadratic(np.eye(2), np.zeros(2)), set=pc.Free(), A=np.eye(2)),
-                pc.BlockSpec(theta=pc.WeightedL1(0.1), set=pc.Free(), A=np.diag([1.0, 3.0]), ortho_scaled=flag),
-            ),
-            b=[1.0, -0.1],
-        )
-
-    assert pc.validate_problem(problem(True)) == [
-        "block 1: ortho_scaled is declared but A'A is not a positive multiple of the identity"
+def _claimed_ortho_problem(A, tau, b):
+    # l1 on A, then 0.5||y||^2 + 1'y on I, with a file that claims A'A = cI
+    n = A.shape[1]
+    blocks = [
+        {"A": A.tolist(), "theta": {"type": "l1", "tau": tau}, "ortho_scaled": True},
+        {"A": np.eye(n).tolist(), "theta": {"type": "quadratic", "H": np.eye(n).tolist(), "c": np.ones(n).tolist()}},
     ]
-    with pytest.raises(ValueError, match="ortho_scaled"):
-        pc.run(problem(True), pc.SolverConfig())
-    honest = pc.run(problem(False), pc.SolverConfig())
-    assert honest.log.objective[-1] == pytest.approx(0.0978, abs=1e-4)
-    zero = pc.BlockSpec(theta=pc.Zero(), A=np.zeros((2, 2)), ortho_scaled=True)
-    assert pc.validate_problem(pc.SeparableProblem(blocks=(zero,), b=[0.0, 0.0])) != []
+    return pc.problem_from_json({"sense": "eq", "b": b, "blocks": blocks})
 
 
-def test_shipped_ortho_scaled_generators_validate():
+def _reduced_lasso_optimum(A, tau, b):
+    # y = b - Ax leaves min tau||x||_1 + 0.5||b - Ax||^2 + 1'(b - Ax),
+    # solved here by a plain proximal-gradient loop
+    S, r = A.T @ A, A.T @ (np.asarray(b) + 1.0)
+    lip = np.linalg.eigvalsh(S)[-1]
+    x = np.zeros(A.shape[1])
+    for _ in range(100_000):
+        z = x - (S @ x - r) / lip
+        x_next = np.sign(z) * np.maximum(np.abs(z) - tau / lip, 0.0)
+        if np.abs(x_next - x).max() <= 1e-15:
+            break
+        x = x_next
+    y = b - A @ x_next
+    return tau * np.abs(x_next).sum() + 0.5 * y @ y + y.sum()
+
+
+# A'A = I + ww' with w = (0, 3, -2), and I + E with a zero-diagonal E and
+# E(1, 2, 3, 4)' = 0, which a probe on z = (1, ..., n) cannot see; and
+# I + pp' with p_1 = 0 and p'z = 0 for the probe z_j = 2 + cos(j) of
+# BlockSpec, which only its column-norm test sees
+W = np.array([0.0, 3.0, -2.0])
+E = 0.05 * np.array([[0, 0, 8, -6], [0, 0, -4, 3], [8, -4, 0, 0], [-6, 3, 0, 0]])
+Z = 2.0 + np.cos(np.arange(3))
+P = np.array([0.0, -Z[2], Z[1]])
+BLIND_SPOTS = {"rank-one": np.eye(3) + np.outer(W, W), "zero-diagonal": np.eye(4) + E, "probe-null": np.eye(3) + np.outer(P, P)}
+
+
+@pytest.mark.parametrize("gram", BLIND_SPOTS.values(), ids=BLIND_SPOTS.keys())
+def test_a_claimed_ortho_scaled_flag_is_rederived(gram):
+    A = np.linalg.cholesky(gram).T  # A'A = gram
+    b = np.arange(1.0, A.shape[0] + 1)
+    problem = _claimed_ortho_problem(A, 0.5, b)
+    assert not problem.blocks[0].ortho_scaled
+    assert pc.compile_block(problem.blocks[0], 1.0).route == "pg"
+    assert pc.validate_problem(problem) == []
+    result = pc.run(problem, pc.SolverConfig(tol=1e-9))
+    assert result.reason.kind == "converged"
+    assert result.log.objective[-1] == pytest.approx(_reduced_lasso_optimum(A, 0.5, b), rel=1e-6)
+
+
+def _exactly_ortho_scaled(A):
+    m, n = A.shape
+    c = A[:, 0] @ A[:, 0]
+    return 0 < n <= m and c > 0 and np.abs(A.T @ A - c * np.eye(n)).max() <= 1e-10 * c
+
+
+def _ortho_corpus(rng):
+    # (A, whether A'A = cI); n >= 2, since any one nonzero column passes
+    for _ in range(20):
+        n = int(rng.integers(2, 9))
+        m = n + int(rng.integers(0, 5))
+        s = rng.uniform(0.1, 10.0)
+        Q = np.linalg.qr(rng.standard_normal((m, n)))[0]
+        signed = np.zeros((m, n))
+        signed[rng.permutation(m)[:n], np.arange(n)] = rng.choice([-1.0, 1.0], n)
+        yield s * Q, True
+        yield s * signed, True
+        yield s * (Q + 1e-15 * rng.standard_normal((m, n))), True
+        yield s * (Q + 1e-6 * rng.standard_normal((m, n))), False
+        yield rng.standard_normal((m, n)), False
+        yield rng.standard_normal((n, n + int(rng.integers(1, 4)))), False  # n > m
+
+
+def test_ortho_scaled_is_derived_from_a():
+    for A, expected in _ortho_corpus(np.random.default_rng(43)):
+        assert _exactly_ortho_scaled(A) == expected
+        assert pc.BlockSpec(theta=pc.Zero(), A=A).ortho_scaled == expected
+    with pytest.raises(TypeError):
+        pc.BlockSpec(theta=pc.Zero(), A=np.eye(2), ortho_scaled=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.nan, np.inf, -np.inf):
+            assert not pc.BlockSpec(theta=pc.Zero(), A=np.diag([1.0, bad])).ortho_scaled
+        for A in (np.zeros((2, 2)), np.zeros((2, 0)), [[1e200]]):
+            assert not pc.BlockSpec(theta=pc.Zero(), A=A).ortho_scaled
+
+
+@pytest.mark.parametrize("claim, A, route", [(True, np.diag([1.0, 3.0]), "pg"), (False, np.eye(2), "closed")])
+def test_json_ortho_scaled_key_is_ignored(claim, A, route):
+    block = {"A": A.tolist(), "theta": {"type": "l1", "tau": 0.5}, "ortho_scaled": claim}
+    problem = pc.problem_from_json({"sense": "eq", "b": [0.0, 0.0], "blocks": [block]})
+    assert problem.blocks[0].ortho_scaled == (route == "closed")
+    assert pc.compile_block(problem.blocks[0], 1.0).route == route
+
+
+def test_shipped_generators_derive_ortho_scaled():
     for seed in (0, 1):
-        assert pc.validate_problem(pc.gen_lasso(20, 40, 0.5, seed)[0]) == []
-        assert pc.validate_problem(pc.gen_toy_svm(3, seed=seed)) == []
-    scaled = pc.BlockSpec(theta=pc.Zero(), A=2.5 * np.linalg.qr(np.random.default_rng(3).standard_normal((9, 6)))[0], ortho_scaled=True)
-    assert pc.validate_problem(pc.SeparableProblem(blocks=(scaled,), b=np.zeros(9))) == []
+        lasso = pc.gen_lasso(20, 40, 0.5, seed)[0]
+        svm = pc.gen_toy_svm(3, seed=seed)
+        assert pc.validate_problem(lasso) == [] and pc.validate_problem(svm) == []
+        for blk in (lasso.blocks[1], svm.blocks[1]):
+            assert blk.ortho_scaled
+            assert pc.compile_block(blk, 1.0).route == "closed"
 
 
 def test_validate_asymmetric_quadratic():
@@ -275,12 +350,13 @@ def test_json_round_trip():
         prob = pc.SeparableProblem(
             blocks=(
                 pc.BlockSpec(theta=theta, set=st, A=np.arange(4.0).reshape(2, 2)),
-                pc.BlockSpec(theta=pc.Zero(), set=pc.NonNeg(), A=np.eye(2), ortho_scaled=True),
+                pc.BlockSpec(theta=pc.Zero(), set=pc.NonNeg(), A=np.eye(2)),
             ),
             b=np.array([2.0, 1.0]),
             sense=pc.GE,
         )
         data = pc.problem_to_json(prob)
+        assert not any("ortho_scaled" in blk for blk in data["blocks"])
         back = pc.problem_from_json(data)
         assert pc.problem_to_json(back) == data
         assert back.sense == prob.sense

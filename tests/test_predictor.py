@@ -95,8 +95,8 @@ def test_set_feasibility_exact():
     prob = pc.SeparableProblem(
         blocks=(
             pc.BlockSpec(theta=pc.Quadratic(np.eye(2), -np.ones(2)), set=pc.Free(), A=np.ones((2, 2))),
-            pc.BlockSpec(theta=pc.WeightedL1(0.3), set=pc.NonNeg(), A=np.eye(2), ortho_scaled=True),
-            pc.BlockSpec(theta=pc.Zero(), set=pc.Box(lo=np.zeros(2), hi=0.1 * np.ones(2)), A=np.eye(2), ortho_scaled=True),
+            pc.BlockSpec(theta=pc.WeightedL1(0.3), set=pc.NonNeg(), A=np.eye(2)),
+            pc.BlockSpec(theta=pc.Zero(), set=pc.Box(lo=np.zeros(2), hi=0.1 * np.ones(2)), A=np.eye(2)),
         ),
         b=np.array([1.0, -1.0]),
         sense=pc.EQ,

@@ -43,7 +43,7 @@ def test_unknown_atom_or_set_is_a_type_error():
         pass
 
     with pytest.raises(TypeError, match="unknown objective atom Strange"):
-        pc.compile_block(Strange(), pc.Free(), np.eye(2), 1.0)
+        pc.compile_block(pc.BlockSpec(theta=Strange(), A=np.eye(2)), 1.0)
     with pytest.raises(TypeError, match="unknown set Strange"):
         pc.project_set(np.zeros(2), Strange())
 
@@ -77,12 +77,21 @@ def test_quadratic_free_matches_direct_solve():
 
 def test_l1_identity_closed_form():
     # argmin |x| + 0.5 (x - 3)^2 = soft-threshold(3, 1) = 2
-    req = SubproblemRequest(
-        theta=pc.WeightedL1(1.0), set=pc.Free(), A=np.eye(1), beta=1.0, v=np.array([3.0]), ortho_scaled=True
-    )
+    req = SubproblemRequest(theta=pc.WeightedL1(1.0), set=pc.Free(), A=np.eye(1), beta=1.0, v=np.array([3.0]))
     x, ax = pc.solve_block_subproblem(req, 1e-10)
     np.testing.assert_allclose(x, [2.0])
     np.testing.assert_allclose(ax, [2.0])
+
+
+@pytest.mark.parametrize("claim", [True, False])
+def test_request_flag_does_not_choose_the_route(claim):
+    # A'A = diag(1, 9): the second coordinate minimizes
+    # 0.5|x| + 0.5 (3x - 2)^2 at x = 5.5/9, not at the prox step 5.5
+    req = SubproblemRequest(
+        theta=pc.WeightedL1(0.5), set=pc.Free(), A=np.diag([1.0, 3.0]), beta=1.0, v=np.array([2.0, 2.0]), ortho_scaled=claim
+    )
+    x, _ = pc.solve_block_subproblem(req, 1e-12)
+    np.testing.assert_allclose(x, [1.5, 5.5 / 9], rtol=1e-10)
 
 
 CLOSED_ATOMS = {
@@ -100,17 +109,22 @@ CLOSED_SETS = {
 @pytest.mark.parametrize("set_name", list(CLOSED_SETS))
 @pytest.mark.parametrize("atom", list(CLOSED_ATOMS))
 def test_l1_scaled_orthonormal_matches_inner_loop(atom, set_name):
-    # A'A = 4I exercised through both the closed form and the fallback
-    # (the inner loop, or the exact solve for a linear atom on a free set)
+    # A'A = 4I: the closed route against the projected-gradient loop on
+    # the same normal form, or the exact solve for a linear atom on a
+    # free set
     rng = np.random.default_rng(11)
     Q, _ = np.linalg.qr(rng.standard_normal((6, 4)))
     A = 2.0 * Q
     v = rng.standard_normal(6)
     theta, st = CLOSED_ATOMS[atom], CLOSED_SETS[set_name]
-    closed = SubproblemRequest(theta=theta, set=st, A=A, beta=1.3, v=v, ortho_scaled=True)
-    loop = SubproblemRequest(theta=theta, set=st, A=A, beta=1.3, v=v, ortho_scaled=False)
-    x1, _ = pc.solve_block_subproblem(closed, 1e-12)
-    x2, _ = pc.solve_block_subproblem(loop, 1e-12)
+    plan = pc.compile_block(pc.BlockSpec(theta=theta, set=st, A=A), 1.3)
+    assert plan.route == "closed"
+    x1, _ = plan.solve(SubproblemRequest(theta=theta, set=st, A=A, beta=1.3, v=v), 1e-12, None)
+    S, lip, r, tau = _normal_form(theta, A, 1.3, v)
+    if atom == "linear" and set_name == "Free":
+        x2 = np.linalg.solve(S, r)
+    else:
+        x2 = prox._projected_gradient(S, lip, r, tau, st, 1e-12, None)
     np.testing.assert_allclose(x1, x2, atol=1e-9)
 
 
@@ -216,7 +230,7 @@ def test_lambda_subproblem():
 
 
 def _plan_cases():
-    # (route, theta, set, A, ortho_scaled) covering every route
+    # (route, block) covering every route
     rng = np.random.default_rng(23)
     n, m = 4, 6
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -229,16 +243,16 @@ def _plan_cases():
         S = np.eye(req.A.shape[1]) + req.beta * req.A.T @ req.A
         return np.linalg.solve(S, req.beta * req.A.T @ req.v)
 
-    cases = [("exact", pc.Quadratic(H, c), pc.Free(), A, False)]
-    cases += [("closed", atom, CLOSED_SETS["Box"], ortho, True) for atom in CLOSED_ATOMS.values()]
-    cases += [("pg", pc.Quadratic(H, c), st, A, False) for st in (pc.NonNeg(), CLOSED_SETS["Box"])]
-    cases += [("pg", pc.WeightedL1(0.4), pc.NonNeg(), A, False)]
-    cases += [("custom", pc.Custom(lambda x: 0.5 * float(x @ x), custom_solve), pc.Free(), A, False)]
-    return cases
+    cases = [("exact", pc.Quadratic(H, c), pc.Free(), A)]
+    cases += [("closed", atom, CLOSED_SETS["Box"], ortho) for atom in CLOSED_ATOMS.values()]
+    cases += [("pg", pc.Quadratic(H, c), st, A) for st in (pc.NonNeg(), CLOSED_SETS["Box"])]
+    cases += [("pg", pc.WeightedL1(0.4), pc.NonNeg(), A)]
+    cases += [("custom", pc.Custom(lambda x: 0.5 * float(x @ x), custom_solve), pc.Free(), A)]
+    return [(route, pc.BlockSpec(theta=theta, set=st, A=A)) for route, theta, st, A in cases]
 
 
 PLAN_CASES = _plan_cases()
-PLAN_IDS = [f"{route}-{type(theta).__name__}-{type(st).__name__}" for route, theta, st, _, _ in PLAN_CASES]
+PLAN_IDS = [f"{route}-{type(blk.theta).__name__}-{type(blk.set).__name__}" for route, blk in PLAN_CASES]
 
 
 def _normal_form(theta, A, beta, v):
@@ -260,20 +274,21 @@ def _assert_nonneg_certificate(S, r, tau, x, inner_tol, rng):
         assert (z - x) @ grad >= -inner_tol
 
 
-@pytest.mark.parametrize("route, theta, st, A, ortho", PLAN_CASES, ids=PLAN_IDS)
-def test_compiled_plan_matches_per_call_solve(route, theta, st, A, ortho):
+@pytest.mark.parametrize("route, blk", PLAN_CASES, ids=PLAN_IDS)
+def test_compiled_plan_matches_per_call_solve(route, blk):
     # on NonNeg the pg route's Newton answer must also match the loop run
     # directly on the same normal form, cold (first v) and warm
     beta, inner_tol = 1.3, 1e-11
-    plan = pc.compile_block(theta, st, A, beta, ortho)
+    theta, st, A = blk.theta, blk.set, blk.A
+    plan = pc.compile_block(blk, beta)
     assert plan.route == route
     rng = np.random.default_rng(29)
     x0 = None
     for _ in range(4):
         v = rng.standard_normal(A.shape[0])
-        fresh = SubproblemRequest(theta=theta, set=st, A=A, beta=beta, v=v, ortho_scaled=ortho)
+        fresh = SubproblemRequest(theta=theta, set=st, A=A, beta=beta, v=v)
         x_call, a_call = pc.solve_block_subproblem(fresh, inner_tol, x0=x0)
-        planned = SubproblemRequest(theta=theta, set=st, A=A, beta=beta, v=v, ortho_scaled=ortho, plan=plan)
+        planned = SubproblemRequest(theta=theta, set=st, A=A, beta=beta, v=v, plan=plan)
         for x, a in (pc.solve_block_subproblem(planned, inner_tol, x0=x0), plan.solve(planned, inner_tol, x0)):
             assert np.linalg.norm(x - x_call) <= 1e-12 * np.linalg.norm(x_call)
             assert np.linalg.norm(a - a_call) <= 1e-12 * np.linalg.norm(a_call)
@@ -311,11 +326,12 @@ def test_newton_certifies_degenerate_nonneg_qps():
 
 
 def test_newton_failure_falls_back_to_the_loop(monkeypatch):
-    _, theta, st, A, _ = next(c for c in PLAN_CASES if c[0] == "pg" and isinstance(c[2], pc.NonNeg))
+    _, blk = next(c for c in PLAN_CASES if c[0] == "pg" and isinstance(c[1].set, pc.NonNeg))
+    theta, st, A = blk.theta, blk.set, blk.A
     beta, inner_tol = 1.3, 1e-11
     v = np.random.default_rng(37).standard_normal(A.shape[0])
     monkeypatch.setattr(prox, "_active_set_newton", lambda *args: None)
-    plan = pc.compile_block(theta, st, A, beta)
+    plan = pc.compile_block(blk, beta)
     req = SubproblemRequest(theta=theta, set=st, A=A, beta=beta, v=v)
     S, lip, r, tau = _normal_form(theta, A, beta, v)
     for x0 in (None, np.ones(A.shape[1])):
@@ -333,15 +349,15 @@ def test_pg_route_convexity_gate(monkeypatch):
     rng = np.random.default_rng(41)
     A = rng.standard_normal((2, 4))
     v, inner_tol = rng.standard_normal(2), 1e-10
-    plan = pc.compile_block(pc.WeightedL1(0.3), pc.NonNeg(), A, 1.0)
+    plan = pc.compile_block(pc.BlockSpec(theta=pc.WeightedL1(0.3), set=pc.NonNeg(), A=A), 1.0)
     x, _ = plan.solve(SubproblemRequest(theta=pc.WeightedL1(0.3), set=pc.NonNeg(), A=A, beta=1.0, v=v), inner_tol, None)
     S, _, r, tau = _normal_form(pc.WeightedL1(0.3), A, 1.0, v)
     _assert_nonneg_certificate(S, r, tau, x, inner_tol, rng)
     H = np.diag([1.0, 1.0, 1.0, -1e-3])
     with pytest.raises(pc.NonConvexError, match="not convex"):
-        pc.compile_block(pc.Quadratic(H, np.zeros(4)), pc.NonNeg(), np.zeros((2, 4)), 1.0)
+        pc.compile_block(pc.BlockSpec(theta=pc.Quadratic(H, np.zeros(4)), set=pc.NonNeg(), A=np.zeros((2, 4))), 1.0)
 
 
 def test_singular_exact_block_fails_when_compiled():
     with pytest.raises(pc.SingularSystemError, match="normal matrix"):
-        pc.compile_block(pc.Quadratic(np.zeros((2, 2)), np.zeros(2)), pc.Free(), np.array([[1.0, 1.0]]), 1.0)
+        pc.compile_block(pc.BlockSpec(theta=pc.Quadratic(np.zeros((2, 2)), np.zeros(2)), A=np.array([[1.0, 1.0]])), 1.0)
