@@ -14,7 +14,9 @@ go to CSV files.  Exit codes: 0 success/converged, 2 iteration limit,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -93,6 +95,22 @@ def _load_pair(path, what, key):
         raise CliError(f"{what} file has a malformed entry: {e}")
 
 
+def _check_writable(path):
+    """Raise the OSError that writing ``path`` would raise, before any
+    work is done: its directory must exist and be writable, and ``path``
+    must not be a directory."""
+    p = Path(path)
+    if p.is_dir():
+        code = errno.EISDIR
+    elif not p.parent.is_dir():
+        code = errno.ENOTDIR if p.parent.exists() else errno.ENOENT
+    elif not os.access(p.parent, os.W_OK) or (p.exists() and not os.access(p, os.W_OK)):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), str(path))
+
+
 def cmd_solve(args) -> int:
     if not args.problem:
         raise CliError("missing --problem\nusage: pcadmm solve --problem FILE [options]")
@@ -111,6 +129,8 @@ def cmd_solve(args) -> int:
 
     init = _load_pair(args.init, "init", "x") if args.init else None
     reference = _load_pair(args.reference, "reference", "a") if args.reference else None
+    if args.log:
+        _check_writable(args.log)
 
     try:
         result = run(problem, config, init=init, reference=reference)

@@ -8,13 +8,14 @@ correction matrix: with d_i = a_i - a~_i and d_lam = lam - lam~,
     lam'  = lam + beta*sum_i d_i - d_lam       multiplier-first variant
 
 so one correction costs only a handful of vector additions on the
-(p, m) aggregate array.  The matrix form lives in
-:mod:`pcadmm.matrices` for verification.
+(p, m) aggregate array.  The inputs are validated states, so the
+corrected state is built from the resulting float arrays as they are.
+The matrix form lives in :mod:`pcadmm.matrices` for verification.
 """
 
 from __future__ import annotations
 
-from .model import IterateState, PredictorState
+from .model import IterateState, PredictorState, _trusted
 
 __all__ = ["correct_pd", "correct_dp"]
 
@@ -37,7 +38,7 @@ def correct_pd(state: IterateState, pred: PredictorState, nu: float, beta: float
     """Correction for the primal-first variant; the multiplier row
     couples only to the first block's direction, scaled by nu*beta."""
     d, d_lam, a_new = _correct_aggregates(state, pred, nu)
-    return IterateState(a_new, state.lam + nu * beta * d[0] - d_lam)
+    return _trusted(IterateState, a=a_new, lam=state.lam + nu * beta * d[0] - d_lam)
 
 
 def correct_dp(state: IterateState, pred: PredictorState, nu: float, beta: float) -> IterateState:
@@ -45,4 +46,4 @@ def correct_dp(state: IterateState, pred: PredictorState, nu: float, beta: float
     sums the directions of all blocks with coefficient beta (not
     nu*beta)."""
     d, d_lam, a_new = _correct_aggregates(state, pred, nu)
-    return IterateState(a_new, state.lam + beta * d.sum(axis=0) - d_lam)
+    return _trusted(IterateState, a=a_new, lam=state.lam + beta * d.sum(axis=0) - d_lam)

@@ -19,6 +19,7 @@ Each factory returns kron(T, I_m) of its own m = 1 build T, so
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,5 +272,5 @@ def check_skew(problem: SeparableProblem, w1, w2) -> float:
 def xi_from_aggregates(a, lam, beta) -> np.ndarray:
     """Scaled-aggregate coordinates (sqrt(beta) a_1, ..., lam/sqrt(beta))
     built straight from the (p, m) aggregates."""
-    sq = np.sqrt(beta)
-    return np.concatenate([sq * np.asarray(a, dtype=float).ravel(), np.asarray(lam, dtype=float) / sq])
+    sq = math.sqrt(beta)
+    return np.concatenate((sq * np.asarray(a, dtype=float).ravel(), np.asarray(lam, dtype=float) / sq))

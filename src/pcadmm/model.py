@@ -91,6 +91,16 @@ def _ortho_scaled_holds(A):
         return bool(c > 0 and abs(cols - c).max() <= 1e-12 * c and r @ r <= (1e-12 * c) ** 2 * (z @ z))
 
 
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` whose fields are
+    already in the form its ``__post_init__`` gives them, built without
+    running those conversions again: for states the library assembles
+    from float arrays it allocated itself."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _as_aggregates(a, name):
     """The aggregates A_i x_i as one (p, m) array, row i for block i."""
     arr = np.asarray(a, dtype=float)
@@ -380,8 +390,8 @@ def validate_problem(problem: SeparableProblem) -> list:
 
 def objective_value(problem: SeparableProblem, x) -> float:
     """sum_i theta_i(x_i) for a list of block vectors."""
-    _check_block_dims(problem, x)
-    return float(sum(blk.theta.value(np.asarray(xi, dtype=float)) for blk, xi in zip(problem.blocks, x)))
+    x = _block_vectors(problem, x)
+    return float(sum([blk.theta.value(xi) for blk, xi in zip(problem.blocks, x)]))
 
 
 def lagrangian_value(problem: SeparableProblem, x, lam) -> float:
@@ -391,11 +401,11 @@ def lagrangian_value(problem: SeparableProblem, x, lam) -> float:
     subproblem solvers); the value stays finite for diagnostics even at
     set-infeasible points.
     """
-    _check_block_dims(problem, x)
+    x = _block_vectors(problem, x)
     lam = _as_vector(lam, "lam")
     if lam.size != problem.m:
         raise ValueError(f"lam has length {lam.size}, expected {problem.m}")
-    r = sum(blk.A @ np.asarray(xi, dtype=float) for blk, xi in zip(problem.blocks, x)) - problem.b
+    r = sum(blk.A @ xi for blk, xi in zip(problem.blocks, x)) - problem.b
     return objective_value(problem, x) - float(lam @ r)
 
 
@@ -416,19 +426,28 @@ def feasibility_residual(problem: SeparableProblem, a, lam):
         raise ValueError(f"lam has length {lam.size}, expected {problem.m}")
     r = a.sum(axis=0) - problem.b
     if problem.sense == EQ:
-        return float(np.linalg.norm(r)), 0.0
-    primal = float(np.linalg.norm(np.minimum(r, 0.0)))
-    compl = max(float(abs(lam @ r)), float(np.linalg.norm(np.minimum(lam, 0.0))))
+        return _norm(r), 0.0
+    primal = _norm(np.minimum(r, 0.0))
+    compl = max(float(abs(lam @ r)), _norm(np.minimum(lam, 0.0)))
     return primal, compl
 
 
-def _check_block_dims(problem, x):
+def _norm(v):
+    # np.linalg.norm's own formula for a real vector, sqrt(v.v), without
+    # its dispatch; math.sqrt rounds correctly too, so the two agree bit
+    # for bit.
+    return math.sqrt(v @ v)
+
+
+def _block_vectors(problem, x):
+    """The block vectors as float arrays, each checked against its block."""
     if len(x) != problem.p:
         raise ValueError(f"expected {problem.p} block vectors, got {len(x)}")
+    x = [np.asarray(xi, dtype=float) for xi in x]
     for i, (blk, xi) in enumerate(zip(problem.blocks, x)):
-        xi = np.asarray(xi)
         if xi.shape != (blk.n,):
             raise ValueError(f"block {i}: vector has shape {xi.shape}, expected ({blk.n},)")
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import IterateState, PredictorState, SeparableProblem
+from .model import IterateState, PredictorState, SeparableProblem, _trusted
 from .prox import (
     SubproblemError,
     SubproblemRequest,
@@ -51,15 +51,7 @@ def _sweep_blocks(problem, state, lam, beta, inner_tol, warm_start, plans):
     shift = lam / beta
     for i, blk in enumerate(problem.blocks):
         v = state.a[i] - drift + shift
-        req = SubproblemRequest(
-            theta=blk.theta,
-            set=blk.set,
-            A=blk.A,
-            beta=beta,
-            v=v,
-            ortho_scaled=blk.ortho_scaled,
-            plan=plans[i],
-        )
+        req = SubproblemRequest(blk.theta, blk.set, blk.A, beta, v, blk.ortho_scaled, plans[i])
         x0 = warm_start[i] if warm_start is not None else None
         try:
             xi, ai = solve_block_subproblem(req, inner_tol, x0=x0)
@@ -67,8 +59,8 @@ def _sweep_blocks(problem, state, lam, beta, inner_tol, warm_start, plans):
             raise type(e)(f"block {i}: {e}") from e
         x_tilde.append(xi)
         a_tilde[i] = ai
-        drift = drift + (ai - state.a[i])
-    return x_tilde, a_tilde
+        drift += ai - state.a[i]
+    return tuple(x_tilde), a_tilde
 
 
 def _check_state(problem, state):
@@ -97,7 +89,7 @@ def predict_pd(
     x_tilde, a_tilde = _sweep_blocks(problem, state, state.lam, beta, inner_tol, warm_start, plans)
     residual = a_tilde.sum(axis=0) - problem.b
     lam_tilde = solve_lambda_subproblem(state.lam, residual, beta, problem.sense)
-    return PredictorState(tuple(x_tilde), a_tilde, lam_tilde)
+    return _trusted(PredictorState, x_tilde=x_tilde, a_tilde=a_tilde, lambda_tilde=lam_tilde)
 
 
 def predict_dp(
@@ -120,4 +112,4 @@ def predict_dp(
     if plans is None:
         plans = compile_blocks(problem, beta)
     x_tilde, a_tilde = _sweep_blocks(problem, state, lam_tilde, beta, inner_tol, warm_start, plans)
-    return PredictorState(tuple(x_tilde), a_tilde, lam_tilde)
+    return _trusted(PredictorState, x_tilde=x_tilde, a_tilde=a_tilde, lambda_tilde=lam_tilde)

@@ -13,7 +13,6 @@ setup that does not depend on v are fixed once per block by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -62,8 +61,7 @@ class NonConvexError(SubproblemError, ValueError):
     so it is not convex and may be unbounded below."""
 
 
-@dataclass(frozen=True)
-class SubproblemRequest:
+class SubproblemRequest(NamedTuple):
     """One block minimization: min over ``set`` of theta(x) + (beta/2)||Ax - v||^2.
 
     ``v`` already carries the Gauss-Seidel drift of the earlier blocks
@@ -71,7 +69,8 @@ class SubproblemRequest:
     ``ortho_scaled`` copies the block's derived flag for observers such
     as tracers; the solve never reads it, and its route comes from A.
     ``plan`` is the block's :func:`compile_block` plan, or None to
-    compile one for this request.
+    compile one for this request.  It is a ``NamedTuple``, not a
+    dataclass, because a sweep builds one per block solve.
     """
 
     theta: object

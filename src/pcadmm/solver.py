@@ -30,6 +30,7 @@ from .model import (
     PredictorState,
     SeparableProblem,
     SolverConfig,
+    _norm,
     feasibility_residual,
     objective_value,
     validate_problem,
@@ -227,7 +228,7 @@ def run(
         warm = pred.x_tilde
         xi_t = xi_from_aggregates(pred.a_tilde, pred.lambda_tilde, beta)
 
-        gap = float(np.linalg.norm(xi_k - xi_t))
+        gap = _norm(xi_k - xi_t)
         primal, compl = feasibility_residual(problem, pred.a_tilde, pred.lambda_tilde)
         obj = objective_value(problem, pred.x_tilde)
         dist = None

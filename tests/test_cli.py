@@ -227,6 +227,23 @@ def test_an_unwritable_output_path_is_an_error(args, target, toy_problem_file, t
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "target",
+    ["{tmp}/missing/x.csv", "{tmp}", "{problem}/x.csv"],
+    ids=["missing-directory", "a-directory", "under-a-file"],
+)
+def test_solve_checks_its_log_path_before_it_solves(target, toy_problem_file, tmp_path, monkeypatch, capsys):
+    import pcadmm.cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("run was called before the log path was checked")
+
+    monkeypatch.setattr(pcadmm.cli, "run", no_run)
+    log = target.format(problem=toy_problem_file, tmp=tmp_path)
+    assert pcadmm.cli.main(["solve", "--problem", str(toy_problem_file), "--log", log]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {log} cannot be written: ")
+
+
 @pytest.mark.parametrize("flag, key", [("--init", "x"), ("--reference", "a")])
 def test_solve_rejects_a_malformed_init_or_reference(toy_problem_file, tmp_path, flag, key):
     path = tmp_path / "start.json"

@@ -126,3 +126,30 @@ def test_state_dimension_check():
     bad = pc.IterateState((np.zeros(1), np.zeros(1)), np.zeros(1))
     with pytest.raises(ValueError):
         pc.predict_pd(prob, bad, 1.0, 1e-10)
+
+
+def test_sweeps_and_corrections_build_states_in_converted_form():
+    # predict_* and correct_* skip the states' __post_init__; what they
+    # build must already be what it would give, on every route
+    custom = pc.Custom(value=lambda x: 0.0, solve=lambda req, tol, x0: [0, 1])
+    prob = pc.SeparableProblem(
+        blocks=(
+            pc.BlockSpec(theta=pc.Quadratic(np.eye(2), -np.ones(2)), set=pc.Free(), A=np.ones((2, 2))),
+            pc.BlockSpec(theta=pc.WeightedL1(0.3), set=pc.NonNeg(), A=np.eye(2)),
+            pc.BlockSpec(theta=pc.Zero(), set=pc.Box(lo=np.zeros(2), hi=0.1 * np.ones(2)), A=np.eye(2)),
+            pc.BlockSpec(theta=custom, set=pc.Free(), A=np.eye(2)),
+        ),
+        b=np.array([1.0, -1.0]),
+    )
+    state = pc.IterateState(np.zeros((4, 2)), np.array([0.7, -0.2]))
+    for predict, correct in ((pc.predict_pd, pc.correct_pd), (pc.predict_dp, pc.correct_dp)):
+        pred = predict(prob, state, 2.0, 1e-10)
+        for built in (pred, correct(state, pred, 0.99, 2.0)):
+            cls = type(built)
+            values = [getattr(built, f) for f in cls.__dataclass_fields__]
+            rebuilt = cls(*values)
+            for got, want in zip(values, (getattr(rebuilt, f) for f in cls.__dataclass_fields__)):
+                assert type(got) is type(want)
+                arrays = zip(got, want) if isinstance(got, tuple) else [(got, want)]
+                for g, w in arrays:
+                    assert g.dtype == w.dtype == np.float64 and g.shape == w.shape

@@ -491,13 +491,54 @@ def _hand_loop(prob, config):
 @pytest.mark.parametrize("variant", ["pd", "dp"])
 @pytest.mark.parametrize("p", [1, 2, 3, 5, "nonneg"])
 def test_run_matches_the_uncompiled_predict_loop(variant, p):
+    # bit for bit: run's compiled plans and trusted states do the same
+    # arithmetic as the public calls, at beta = 1 and beta != 1
     prob = nonneg_qp(5) if p == "nonneg" else pc.gen_eq_qp(p, [6] * p, 4, seed=p)[0]
-    config = pc.SolverConfig(variant=variant, record_xi=True)
-    result = pc.run(prob, config)
-    states, preds, last = _hand_loop(prob, config)
-    assert result.reason.kind == pc.CONVERGED
-    assert len(result.log) == len(preds)
-    for got, want in zip(result.log.xi_states + result.log.xi_preds, states + preds):
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-    for got, want in zip(result.solution.x_tilde, last.x_tilde):
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    for beta in (1.0, 1.7):
+        config = pc.SolverConfig(variant=variant, beta=beta, record_xi=True)
+        result = pc.run(prob, config)
+        states, preds, last = _hand_loop(prob, config)
+        assert result.reason.kind == pc.CONVERGED
+        assert len(result.log) == len(preds)
+        for got, want in zip(result.log.xi_states + result.log.xi_preds, states + preds):
+            assert np.array_equal(got, want)
+        for got, want in zip(result.solution.x_tilde, last.x_tilde):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("variant", ["pd", "dp"])
+def test_run_calls_each_traced_name_once_per_iteration(monkeypatch, variant):
+    # Benchmark tracers time these module globals by replacing them; a
+    # run that stopped calling one through its global would read zero
+    # there instead of failing.
+    import pcadmm.predictor
+    import pcadmm.solver
+
+    calls = {}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    names = ["predict_pd", "predict_dp", "correct_pd", "correct_dp"]
+    names += ["feasibility_residual", "objective_value", "xi_from_aggregates"]
+    for name in names:
+        counting(pcadmm.solver, name)
+    counting(pcadmm.predictor, "solve_block_subproblem")
+    p, iters = 3, 4
+    prob = pc.gen_eq_qp(p, [6] * p, 4, seed=p)[0]
+    result = pc.run(prob, pc.SolverConfig(variant=variant, max_iters=iters))
+    assert result.reason.kind == pc.MAX_ITERS and len(result.log) == iters
+    assert calls == {
+        f"predict_{variant}": iters,
+        f"correct_{variant}": iters,
+        "feasibility_residual": iters,
+        "objective_value": iters,
+        "xi_from_aggregates": 2 * iters,  # the state and the prediction
+        "solve_block_subproblem": p * iters,
+    }
