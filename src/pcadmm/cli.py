@@ -161,8 +161,13 @@ def cmd_verify_matrices(args) -> int:
         nus = [float(s) for s in args.nu_list.split(",") if s]
     except ValueError:
         raise CliError(f"--nu-list must be comma-separated floats, got {args.nu_list!r}")
+    outside = [nu for nu in nus if not 0.0 < nu < 1.0]
+    if outside:
+        raise CliError(f"--nu-list values must lie in (0,1), got {outside[0]!r}")
     p_list = [p for p in DEFAULT_P_LIST if p <= args.p_max]
     m_list = list(range(1, args.m_max + 1))
+    if not (nus and p_list and m_list):
+        raise CliError(f"the grid has no cases: --p-max {args.p_max}, --m-max {args.m_max}, --nu-list {args.nu_list!r}")
     header = f"{'variant':8} {'p':>2} {'m':>2} {'nu':>5} {'max|HM-Q|':>12} {'min_eig_H':>12} {'min_eig_G':>12} {'min_eig_QtQ':>12} {'status':>7}"
     print(header)
     all_pass = True

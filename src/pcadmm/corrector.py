@@ -1,49 +1,49 @@
 """Correction step applied to the aggregates after each prediction.
 
-The update is written out componentwise instead of materializing the
-correction matrix: with d_i = a_i - a~_i and d_lam = lam - lam~,
-
-    a_i'  = a_i - nu*d_i + nu*d_{i+1}          (last block: no d_{i+1})
-    lam'  = lam + nu*beta*d_1 - d_lam          primal-first variant
-    lam'  = lam + beta*sum_i d_i - d_lam       multiplier-first variant
-
-so one correction costs only a handful of vector additions on the
-(p, m) aggregate array.  The inputs are validated states, so the
-corrected state is built from the resulting float arrays as they are.
-The matrix form lives in :mod:`pcadmm.matrices` for verification.
+The correction is the certificate's own: the m = 1 template T of
+:func:`pcadmm.matrices.build_m`, moved from scaled-aggregate
+coordinates (sqrt(beta) a, lam/sqrt(beta)) into (a, lam) coordinates,
+applied as U <- U - T (U - U~) to U = (a; lam) stacked as a (p+1, m)
+array.  The inputs are validated states, so the corrected state is
+built from the resulting float arrays as they are.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+import numpy as np
+
+from .matrices import build_m
 from .model import IterateState, PredictorState, _trusted
 
 __all__ = ["correct_pd", "correct_dp"]
 
 
-def _correct_aggregates(state, pred, nu):
-    """The directions d = a - a~ and d_lam = lam - lam~, and the
-    corrected aggregates."""
+@lru_cache(maxsize=64)
+def _template(variant, p, nu, beta):
+    """D^-1 T D with D = diag(sqrt(beta) 1_p, 1/sqrt(beta)); read-only, as it is shared."""
+    T = build_m(variant, p, 1, nu)
+    T[p, :p] *= beta
+    T[:p, p] /= beta
+    T.flags.writeable = False
+    return T
+
+
+def _correct(variant, state, pred, nu, beta):
     if state.a.shape != pred.a_tilde.shape or state.lam.shape != pred.lambda_tilde.shape:
-        raise ValueError(
-            f"state shapes {state.a.shape}, {state.lam.shape} differ from "
-            f"predictor shapes {pred.a_tilde.shape}, {pred.lambda_tilde.shape}"
-        )
-    d = state.a - pred.a_tilde
-    a_new = state.a - nu * d
-    a_new[:-1] += nu * d[1:]
-    return d, state.lam - pred.lambda_tilde, a_new
+        shapes = state.a.shape, state.lam.shape, pred.a_tilde.shape, pred.lambda_tilde.shape
+        raise ValueError("state shapes {}, {} differ from predictor shapes {}, {}".format(*shapes))
+    U = np.concatenate((state.a, state.lam[None]))
+    U -= _template(variant, len(state.a), nu, beta) @ (U - np.concatenate((pred.a_tilde, pred.lambda_tilde[None])))
+    return _trusted(IterateState, a=U[:-1], lam=U[-1])
 
 
 def correct_pd(state: IterateState, pred: PredictorState, nu: float, beta: float) -> IterateState:
-    """Correction for the primal-first variant; the multiplier row
-    couples only to the first block's direction, scaled by nu*beta."""
-    d, d_lam, a_new = _correct_aggregates(state, pred, nu)
-    return _trusted(IterateState, a=a_new, lam=state.lam + nu * beta * d[0] - d_lam)
+    """Correction for the primal-first variant."""
+    return _correct("pd", state, pred, nu, beta)
 
 
 def correct_dp(state: IterateState, pred: PredictorState, nu: float, beta: float) -> IterateState:
-    """Correction for the multiplier-first variant; the multiplier row
-    sums the directions of all blocks with coefficient beta (not
-    nu*beta)."""
-    d, d_lam, a_new = _correct_aggregates(state, pred, nu)
-    return _trusted(IterateState, a=a_new, lam=state.lam + beta * d.sum(axis=0) - d_lam)
+    """Correction for the multiplier-first variant."""
+    return _correct("dp", state, pred, nu, beta)

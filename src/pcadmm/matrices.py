@@ -123,7 +123,9 @@ def build_m(variant: str, p: int, m: int, nu: float) -> np.ndarray:
 
     Primal-first: [[nu L^{-T}, 0], [-nu E L^{-T}, I]] with
     E L^{-T} = [I, 0, ..., 0].  Multiplier-first:
-    [[nu L^{-T}, 0], [-E, I]].
+    [[nu L^{-T}, 0], [-E, I]].  This is also the correction the solver
+    runs: :mod:`pcadmm.corrector` applies the m = 1 build, rescaled to
+    (a, lam) coordinates.
     """
     _check_variant(variant)
     _check_nu(nu)

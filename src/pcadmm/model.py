@@ -22,6 +22,7 @@ reported solution.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -320,16 +321,18 @@ class SolverConfig:
     def __post_init__(self):
         if self.variant not in ("pd", "dp"):
             raise ValueError(f"variant must be 'pd' or 'dp', got {self.variant!r}")
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
         if not 0.0 < self.nu < 1.0:
             raise ValueError("nu must lie in (0,1)")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.tol < 0:
-            raise ValueError("tol must be nonnegative")
-        if not self.inner_tol > 0:
-            raise ValueError("inner_tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be nonnegative and finite, got {self.tol!r}")
+        if not (math.isfinite(self.inner_tol) and self.inner_tol > 0):
+            raise ValueError(f"inner_tol must be positive and finite, got {self.inner_tol!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,8 @@ def predict_pd(
     Every block solve uses the incoming multiplier; the multiplier
     update then uses the freshly predicted aggregates.  ``plans`` are
     the blocks' :func:`compile_blocks` plans for this ``beta``; without
-    them the blocks are compiled for this call.
+    them the blocks are compiled for this call, so a caller that loops
+    should pass ``plans=compile_blocks(problem, beta)``, built once.
     """
     _check_state(problem, state)
     if plans is None:
@@ -104,7 +105,8 @@ def predict_dp(
 
     The multiplier is updated from the *current* aggregates before any
     block moves, and every block solve then sees the fresh multiplier.
-    ``plans`` are as for :func:`predict_pd`.
+    ``plans`` are as for :func:`predict_pd`: a caller that loops should
+    pass ``plans=compile_blocks(problem, beta)``, built once.
     """
     _check_state(problem, state)
     residual = state.a.sum(axis=0) - problem.b

@@ -66,6 +66,13 @@ def test_solve_rejects_nu_one(toy_problem_file):
     assert "nu must lie in (0,1)" in proc.stderr
 
 
+def test_solve_rejects_a_nan_tolerance(toy_problem_file):
+    proc = run_cli("solve", "--problem", str(toy_problem_file), "--tol", "nan")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: tol must be nonnegative and finite")
+    assert proc.stdout == ""
+
+
 def test_solve_missing_problem_flag():
     proc = run_cli("solve")
     assert proc.returncode == 1
@@ -158,6 +165,22 @@ def test_verify_matrices_filtered_sweep():
     dp_row = next(r for r in data_rows if r.startswith("dp") and " 2  1" in r)
     fields = dp_row.split()
     assert float(fields[6]) == pytest.approx(0.5)  # min_eig_G = 1 - nu
+
+
+@pytest.mark.parametrize("value", ["1.0", "0", "nan", "-1", "inf", "0.5,x"])
+def test_verify_matrices_rejects_a_nu_outside_the_open_unit_interval(value):
+    proc = run_cli("verify-matrices", "--nu-list", value)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: --nu-list")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.parametrize("args", [["--p-max", "0"], ["--m-max", "0"], ["--nu-list", ","], ["--nu-list", ""]])
+def test_verify_matrices_rejects_an_empty_grid(args):
+    proc = run_cli("verify-matrices", *args)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "no cases" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_bench_eq_qp(tmp_path):

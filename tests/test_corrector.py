@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -70,11 +72,12 @@ def _random_state_pair(rng, prob, beta):
 
 
 def test_matrix_form_bridge():
-    # componentwise update == xi - M (xi - xi~) through build_p/build_m
+    # the corrector in (a, lam) == xi - M (xi - xi~) through build_p/build_m,
+    # up to p = 5 (audit-wide) and at a beta on either side of 1
     rng = np.random.default_rng(5)
-    for p in (1, 2, 3):
+    for p, beta in itertools.product((1, 2, 3, 5), (1.7, 0.3)):
         prob, _ = pc.gen_eq_qp(p, [4] * p, 3, seed=40 + p)
-        beta, nu = 1.7, 0.6
+        nu = 0.6
         P = pc.build_p(prob, beta)
         for variant, correct in (("pd", pc.correct_pd), ("dp", pc.correct_dp)):
             M = pc.build_m(variant, p, prob.m, nu)

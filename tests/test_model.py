@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -307,6 +308,13 @@ def test_solver_config_validation():
         pc.SolverConfig(inner_tol=0.0)
     with pytest.raises(ValueError, match="inner_tol"):
         pc.SolverConfig(inner_tol=-1e-10)
+    bad = [("tol", math.nan), ("tol", math.inf), ("tol", -math.inf), ("inner_tol", math.inf)]
+    bad += [("inner_tol", math.nan), ("beta", math.inf), ("beta", math.nan)]
+    bad += [("max_iters", 2.5), ("max_iters", 10.0), ("max_iters", True)]
+    for name, value in bad:
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            pc.SolverConfig(**{name: value})
+    assert pc.SolverConfig(max_iters=np.int64(3), tol=0.0).max_iters == 3
 
 
 # Every atom at x = (1, -2) and every set's projection of v = (-1.5, 0.5, 3), by hand.
