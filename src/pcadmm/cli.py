@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .matrices import verify_framework
-from .model import SolverConfig, problem_from_json, problem_to_json
+from .model import _VARIANTS, SolverConfig, problem_from_json, problem_to_json
 from .problems import active_set_oracle, gen_eq_qp, gen_ineq_qp, gen_lasso, gen_toy_svm
 from .solver import CONVERGED, MAX_ITERS, contraction_check, run
 
@@ -51,7 +51,7 @@ def _build_parser():
 
     ps = sub.add_parser("solve", help="solve a problem from a JSON file")
     ps.add_argument("--problem", help="path to the problem JSON file")
-    ps.add_argument("--variant", choices=["pd", "dp"], default="pd")
+    ps.add_argument("--variant", choices=_VARIANTS, default="pd")
     ps.add_argument("--beta", type=float, default=1.0)
     ps.add_argument("--nu", type=float, default=0.99)
     ps.add_argument("--tol", type=float, default=1e-6)
@@ -171,7 +171,7 @@ def cmd_verify_matrices(args) -> int:
     header = f"{'variant':8} {'p':>2} {'m':>2} {'nu':>5} {'max|HM-Q|':>12} {'min_eig_H':>12} {'min_eig_G':>12} {'min_eig_QtQ':>12} {'status':>7}"
     print(header)
     all_pass = True
-    for variant in ("pd", "dp"):
+    for variant in _VARIANTS:
         for p in p_list:
             for m in m_list:
                 for nu in nus:
@@ -232,7 +232,7 @@ def cmd_bench(args) -> int:
     total_violations = 0
     all_converged = True
     for name, problem, ref in instances:
-        for variant in ("pd", "dp"):
+        for variant in _VARIANTS:
             config = SolverConfig(variant=variant, record_xi=ref is not None)
             result = run(problem, config, reference=ref)
             violations = []
@@ -250,7 +250,7 @@ def cmd_bench(args) -> int:
                 f"primal_res={result.log.primal_res[-1]!r} "
                 f"compl_res={result.log.compl_res[-1]!r}"
             )
-    print(f"runs={2 * len(instances)}")
+    print(f"runs={len(_VARIANTS) * len(instances)}")
     print(f"all_converged={all_converged}")
     print(f"contraction_violations={total_violations}")
     return 0 if all_converged and total_violations == 0 else 1

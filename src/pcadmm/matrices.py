@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SeparableProblem
+from .model import SeparableProblem, _check_nu, _check_variant
 
 __all__ = [
     "ClosedFormMismatchError",
@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 HMQ_TOL = 1e-13
-_VARIANTS = ("pd", "dp")
 
 
 class ClosedFormMismatchError(AssertionError):
@@ -72,16 +71,6 @@ class FrameworkReport:
             and self.g_min_eig > 0.0
             and self.qtq_min_eig > 0.0
         )
-
-
-def _check_variant(variant):
-    if variant not in _VARIANTS:
-        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
-
-
-def _check_nu(nu):
-    if not 0.0 < nu < 1.0:
-        raise ValueError("nu must lie in (0,1)")
 
 
 def build_p(problem: SeparableProblem, beta: float) -> np.ndarray:

@@ -58,6 +58,10 @@ EQ = "eq"
 GE = "ge"
 _SENSES = (EQ, GE)
 
+# Update orders: "pd" moves the primal blocks first and the multiplier
+# last, "dp" the multiplier first.
+_VARIANTS = ("pd", "dp")
+
 _SYM_TOL = 1e-12
 
 
@@ -90,6 +94,16 @@ def _ortho_scaled_holds(A):
         z = 2.0 + np.cos(np.arange(n))
         r = A.T @ (A @ z) - c * z
         return bool(c > 0 and abs(cols - c).max() <= 1e-12 * c and r @ r <= (1e-12 * c) ** 2 * (z @ z))
+
+
+def _check_variant(variant):
+    if variant not in _VARIANTS:
+        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
+
+
+def _check_nu(nu):
+    if not 0.0 < nu < 1.0:
+        raise ValueError("nu must lie in (0,1)")
 
 
 def _trusted(cls, **fields):
@@ -319,12 +333,10 @@ class SolverConfig:
     record_xi: bool = False
 
     def __post_init__(self):
-        if self.variant not in ("pd", "dp"):
-            raise ValueError(f"variant must be 'pd' or 'dp', got {self.variant!r}")
+        _check_variant(self.variant)
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
-        if not 0.0 < self.nu < 1.0:
-            raise ValueError("nu must lie in (0,1)")
+        _check_nu(self.nu)
         if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
@@ -531,9 +543,10 @@ def problem_from_json(data: dict) -> SeparableProblem:
         raise ValueError("key 'blocks' must be a list")
     blocks = [_block_from_json(i, rb) for i, rb in enumerate(raw_blocks)]
     try:
-        problem = SeparableProblem(blocks=blocks, b=b, sense=sense)
-    except TypeError as e:
+        b = _as_vector(b, "b")
+    except (TypeError, ValueError, OverflowError) as e:
         raise ValueError(f"key 'b': {e}") from e
+    problem = SeparableProblem(blocks=blocks, b=b, sense=sense)
     if data.get("m", problem.m) != problem.m:
         raise ValueError(f"key 'm' is {data['m']!r} but b has length {problem.m}")
     return problem

@@ -2,8 +2,9 @@
 
 One sweep visits the blocks in their given order; block i's target
 vector folds in the fresh updates of blocks 1..i-1, so the sweep is
-inherently sequential.  The two variants differ only in which
-multiplier the block solves see:
+inherently sequential.  Both variants run the same core,
+``_predict(variant, ...)``, and differ only in when the multiplier
+moves, and so in which multiplier the block solves see:
 
 * ``predict_pd``: blocks first using the current multiplier, then the
   multiplier from the predicted aggregates;
@@ -39,19 +40,27 @@ def compile_blocks(problem, beta):
     return plans
 
 
-def _sweep_blocks(problem, state, lam, beta, inner_tol, warm_start, plans):
-    """Sequential block solves sharing the multiplier vector ``lam``.
+def _predict(variant, problem, state, beta, inner_tol, warm_start, plans):
+    """One prediction sweep of ``variant``.
 
-    Block i minimizes theta_i(x) + (beta/2)||A_i x - v_i||^2 with
-    v_i = a_i - sum_{j<i}(a~_j - a_j) + lam/beta, which only needs the
-    aggregates, never the raw primal blocks.
+    For ``"dp"`` the multiplier moves first, from the current
+    aggregates.  Block i then minimizes theta_i(x) + (beta/2)||A_i x - v_i||^2
+    with v_i = a_i - sum_{j<i}(a~_j - a_j) + lam/beta, which only needs
+    the aggregates, never the raw primal blocks.  For ``"pd"`` the
+    multiplier moves last, from the predicted aggregates.
     """
-    x_tilde, a_tilde = [], np.empty_like(state.a)
+    a, lam = state.a, state.lam
+    if a.shape != (problem.p, problem.m) or lam.shape != (problem.m,):
+        raise ValueError(f"state shapes {a.shape}, {lam.shape} do not fit p={problem.p}, m={problem.m}")
+    if variant == "dp":
+        lam = solve_lambda_subproblem(lam, a.sum(axis=0) - problem.b, beta, problem.sense)
+    if plans is None:
+        plans = compile_blocks(problem, beta)
+    x_tilde, a_tilde = [], np.empty_like(a)
     drift = np.zeros(problem.m)
     shift = lam / beta
     for i, blk in enumerate(problem.blocks):
-        v = state.a[i] - drift + shift
-        req = SubproblemRequest(blk.theta, blk.set, blk.A, beta, v, blk.ortho_scaled, plans[i])
+        req = SubproblemRequest(blk.theta, blk.set, blk.A, beta, a[i] - drift + shift, blk.ortho_scaled, plans[i])
         x0 = warm_start[i] if warm_start is not None else None
         try:
             xi, ai = solve_block_subproblem(req, inner_tol, x0=x0)
@@ -59,13 +68,10 @@ def _sweep_blocks(problem, state, lam, beta, inner_tol, warm_start, plans):
             raise type(e)(f"block {i}: {e}") from e
         x_tilde.append(xi)
         a_tilde[i] = ai
-        drift += ai - state.a[i]
-    return tuple(x_tilde), a_tilde
-
-
-def _check_state(problem, state):
-    if state.a.shape != (problem.p, problem.m) or state.lam.shape != (problem.m,):
-        raise ValueError(f"state shapes {state.a.shape}, {state.lam.shape} do not fit p={problem.p}, m={problem.m}")
+        drift += ai - a[i]
+    if variant == "pd":
+        lam = solve_lambda_subproblem(lam, a_tilde.sum(axis=0) - problem.b, beta, problem.sense)
+    return _trusted(PredictorState, x_tilde=tuple(x_tilde), a_tilde=a_tilde, lambda_tilde=lam)
 
 
 def predict_pd(
@@ -76,21 +82,13 @@ def predict_pd(
     warm_start=None,
     plans=None,
 ) -> PredictorState:
-    """Primal-first prediction sweep: blocks 1..p, then the multiplier.
-
-    Every block solve uses the incoming multiplier; the multiplier
-    update then uses the freshly predicted aggregates.  ``plans`` are
-    the blocks' :func:`compile_blocks` plans for this ``beta``; without
-    them the blocks are compiled for this call, so a caller that loops
-    should pass ``plans=compile_blocks(problem, beta)``, built once.
-    """
-    _check_state(problem, state)
-    if plans is None:
-        plans = compile_blocks(problem, beta)
-    x_tilde, a_tilde = _sweep_blocks(problem, state, state.lam, beta, inner_tol, warm_start, plans)
-    residual = a_tilde.sum(axis=0) - problem.b
-    lam_tilde = solve_lambda_subproblem(state.lam, residual, beta, problem.sense)
-    return _trusted(PredictorState, x_tilde=x_tilde, a_tilde=a_tilde, lambda_tilde=lam_tilde)
+    """Primal-first prediction sweep: blocks 1..p with the incoming
+    multiplier, then the multiplier from the predicted aggregates.
+    ``plans`` are the blocks' :func:`compile_blocks` plans for this
+    ``beta``; without them the blocks are compiled for this call, so a
+    caller that loops should pass ``plans=compile_blocks(problem, beta)``,
+    built once."""
+    return _predict("pd", problem, state, beta, inner_tol, warm_start, plans)
 
 
 def predict_dp(
@@ -101,17 +99,7 @@ def predict_dp(
     warm_start=None,
     plans=None,
 ) -> PredictorState:
-    """Multiplier-first prediction sweep.
-
-    The multiplier is updated from the *current* aggregates before any
-    block moves, and every block solve then sees the fresh multiplier.
-    ``plans`` are as for :func:`predict_pd`: a caller that loops should
-    pass ``plans=compile_blocks(problem, beta)``, built once.
-    """
-    _check_state(problem, state)
-    residual = state.a.sum(axis=0) - problem.b
-    lam_tilde = solve_lambda_subproblem(state.lam, residual, beta, problem.sense)
-    if plans is None:
-        plans = compile_blocks(problem, beta)
-    x_tilde, a_tilde = _sweep_blocks(problem, state, lam_tilde, beta, inner_tol, warm_start, plans)
-    return _trusted(PredictorState, x_tilde=x_tilde, a_tilde=a_tilde, lambda_tilde=lam_tilde)
+    """Multiplier-first prediction sweep: the multiplier from the
+    current aggregates, then blocks 1..p with the fresh multiplier.
+    ``plans`` are as for :func:`predict_pd`."""
+    return _predict("dp", problem, state, beta, inner_tol, warm_start, plans)

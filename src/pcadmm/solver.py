@@ -198,8 +198,7 @@ def run(
     if violations:
         raise ValueError("invalid problem: " + "; ".join(violations))
 
-    predict = predict_pd if config.variant == "pd" else predict_dp
-    correct = correct_pd if config.variant == "pd" else correct_dp
+    predict, correct = (predict_pd, correct_pd) if config.variant == "pd" else (predict_dp, correct_dp)
     beta, nu = config.beta, config.nu
 
     state = _initial_state(problem, init)
@@ -217,38 +216,41 @@ def run(
         plans = compile_blocks(problem, beta)
     except SubproblemError as e:
         reason, iterations = StopReason(SUBPROBLEM_FAILURE, str(e)), ()
-    for k in iterations:
-        xi_k = xi_from_aggregates(state.a, state.lam, beta)
-        try:
-            new_pred = predict(problem, state, beta, config.inner_tol, warm_start=warm, plans=plans)
-        except SubproblemError as e:
-            reason = StopReason(SUBPROBLEM_FAILURE, str(e))
-            break
-        pred = new_pred
-        warm = pred.x_tilde
-        xi_t = xi_from_aggregates(pred.a_tilde, pred.lambda_tilde, beta)
+    # Overflowing data ends the run as non_finite, from its logged row,
+    # not with a numpy warning from inside the loop.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in iterations:
+            xi_k = xi_from_aggregates(state.a, state.lam, beta)
+            try:
+                new_pred = predict(problem, state, beta, config.inner_tol, warm_start=warm, plans=plans)
+            except SubproblemError as e:
+                reason = StopReason(SUBPROBLEM_FAILURE, str(e))
+                break
+            pred = new_pred
+            warm = pred.x_tilde
+            xi_t = xi_from_aggregates(pred.a_tilde, pred.lambda_tilde, beta)
 
-        gap = _norm(xi_k - xi_t)
-        primal, compl = feasibility_residual(problem, pred.a_tilde, pred.lambda_tilde)
-        obj = objective_value(problem, pred.x_tilde)
-        dist = None
-        if reference is not None:
-            dist = math.sqrt(max(0.0, kron_form(H, (xi_k - xi_ref).reshape(problem.p + 1, problem.m))))
-        log.append(k, primal, compl, gap, dist, obj)
+            gap = _norm(xi_k - xi_t)
+            primal, compl = feasibility_residual(problem, pred.a_tilde, pred.lambda_tilde)
+            obj = objective_value(problem, pred.x_tilde)
+            dist = None
+            if reference is not None:
+                dist = math.sqrt(max(0.0, kron_form(H, (xi_k - xi_ref).reshape(problem.p + 1, problem.m))))
+            log.append(k, primal, compl, gap, dist, obj)
+            if config.record_xi:
+                log.xi_states.append(xi_k)
+                log.xi_preds.append(xi_t)
+            if not all(map(math.isfinite, (primal, compl, gap))):
+                reason = StopReason(NON_FINITE, f"iteration {k}: primal_res={primal}, compl_res={compl}, pred_gap={gap}")
+                break
+
+            state = correct(state, pred, nu, beta)
+            if max(primal, compl, gap) <= config.tol:
+                reason = StopReason(CONVERGED)
+                break
+
         if config.record_xi:
-            log.xi_states.append(xi_k)
-            log.xi_preds.append(xi_t)
-        if not all(map(math.isfinite, (primal, compl, gap))):
-            reason = StopReason(NON_FINITE, f"iteration {k}: primal_res={primal}, compl_res={compl}, pred_gap={gap}")
-            break
-
-        state = correct(state, pred, nu, beta)
-        if max(primal, compl, gap) <= config.tol:
-            reason = StopReason(CONVERGED)
-            break
-
-    if config.record_xi:
-        log.xi_states.append(xi_from_aggregates(state.a, state.lam, beta))
+            log.xi_states.append(xi_from_aggregates(state.a, state.lam, beta))
     return RunResult(pred, state, log, reason)
 
 

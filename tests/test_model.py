@@ -259,6 +259,59 @@ def test_lagrangian_dimension_mismatch():
         pc.lagrangian_value(prob, [np.zeros(2), np.zeros(3)], np.zeros(1))
 
 
+def _violations(*blocks):
+    return pc.validate_problem(pc.SeparableProblem(blocks=blocks, b=[0.0]))
+
+
+def _error(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return [str(info.value)]
+
+
+# Each case builds its own input when called, and gives the message list
+# it must produce: validate_problem's violations, or the one ValueError.
+MESSAGES = {
+    "quadratic-H-shape": (
+        lambda: _violations(pc.BlockSpec(theta=pc.Quadratic(np.eye(3), np.zeros(2)), A=np.ones((1, 2)))),
+        "block 0: quadratic H has shape (3, 3), expected (2, 2)",
+    ),
+    "box-length": (
+        lambda: _violations(pc.BlockSpec(theta=pc.Zero(), set=pc.Box(np.zeros(3), np.ones(3)), A=np.ones((1, 2)))),
+        "block 0: box bounds do not match dimension 2",
+    ),
+    "custom-value": (
+        lambda: _violations(pc.BlockSpec(theta=pc.Custom(value=0.0, solve=lambda *args: None), A=[[1.0]])),
+        "block 0: custom atom needs callable value and solve",
+    ),
+    "custom-solve": (
+        lambda: _violations(pc.BlockSpec(theta=pc.Custom(value=lambda x: 0.0, solve="qp"), A=[[1.0]])),
+        "block 0: custom atom needs callable value and solve",
+    ),
+    "unknown-atom": (lambda: _violations(pc.BlockSpec(theta=object(), A=[[1.0]])), "block 0: unknown objective atom object"),
+    "unknown-set": (lambda: _violations(pc.BlockSpec(theta=pc.Zero(), set=object(), A=[[1.0]])), "block 0: unknown set object"),
+    "zero-columns": (lambda: _violations(pc.BlockSpec(theta=pc.Zero(), A=np.zeros((1, 0)))), "block 0: dimension must be at least 1"),
+    "residual-aggregates": (
+        lambda: _error(pc.feasibility_residual, two_block_problem(), np.zeros((1, 1)), np.zeros(1)),
+        "aggregates have shape (1, 1), expected (2, 1)",
+    ),
+    "residual-lam": (
+        lambda: _error(pc.feasibility_residual, two_block_problem(), np.zeros((2, 1)), np.zeros(2)),
+        "lam has length 2, expected 1",
+    ),
+    "lagrangian-lam": (
+        lambda: _error(pc.lagrangian_value, two_block_problem(), [np.zeros(2), np.zeros(2)], np.zeros(2)),
+        "lam has length 2, expected 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MESSAGES))
+def test_shape_and_type_messages(name):
+    messages, expected = MESSAGES[name]
+    assert messages() == [expected]
+
+
 def test_feasibility_residual_equality_at_feasible_point():
     prob = two_block_problem()
     a = [np.array([0.6]), np.array([0.4])]
@@ -397,6 +450,12 @@ def test_readme_schema_example_loads_and_solves():
     assert pc.problem_to_json(prob) == example
     result = pc.run(prob, pc.SolverConfig())
     assert result.reason.kind == pc.CONVERGED
+
+
+@pytest.mark.parametrize("b", ["abc", ["x"], {}], ids=["string", "string-list", "dict"])
+def test_json_non_numeric_b_names_key(b):
+    with pytest.raises(ValueError, match="^key 'b': "):
+        pc.problem_from_json({"sense": "eq", "b": b, "blocks": [{"A": [[1.0]], "theta": {"type": "zero"}}]})
 
 
 def test_json_malformed_names_key():

@@ -202,6 +202,21 @@ def test_inner_tol_must_be_positive():
         pc.solve_block_subproblem(quad_request([[1.0]], [0.0], [[1.0]], 1.0, [0.0]), 0.0)
 
 
+def test_pg_loop_iteration_cap(monkeypatch):
+    # a Box block runs the projected-gradient loop with no Newton step;
+    # three steps cannot reach the tolerance on S = diag(2, 11)
+    monkeypatch.setattr(prox, "MAX_INNER_ITERS", 3)
+    theta, st = pc.Quadratic(np.diag([1.0, 10.0]), [0.5, -0.5]), pc.Box(-np.ones(2), np.ones(2))
+    req = SubproblemRequest(theta=theta, set=st, A=np.eye(2), beta=1.0, v=np.array([0.3, -0.2]))
+    with pytest.raises(pc.NonConvergenceError, match="in 3 iterations"):
+        pc.solve_block_subproblem(req, 1e-10)
+    prob = pc.SeparableProblem(blocks=(pc.BlockSpec(theta=theta, set=st, A=np.eye(2)),), b=[0.3, -0.2])
+    result = pc.run(prob, pc.SolverConfig())
+    assert result.reason.kind == pc.SUBPROBLEM_FAILURE
+    assert result.reason.detail.startswith("block 0: ")
+    assert "did not reach tolerance" in result.reason.detail
+
+
 def test_custom_atom_dispatch():
     ## custom atom replicating theta(x) = 0.5 x^2 via its own solver
     def value(x):

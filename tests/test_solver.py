@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -392,6 +393,19 @@ def test_non_finite_block_solve_stops_after_one_row(variant):
     result = pc.run(prob, pc.SolverConfig(variant=variant))
     assert result.reason.kind == pc.NON_FINITE
     assert result.reason.detail.startswith("iteration 0: primal_res=nan")
+    assert len(result.log) == 1
+
+
+def test_overflowing_data_stops_after_one_row_without_a_warning():
+    # finite b whose residual norm overflows: a stop reason, not a RuntimeWarning
+    prob = pc.SeparableProblem(
+        blocks=(pc.BlockSpec(theta=pc.Quadratic(np.eye(2), np.zeros(2)), set=pc.Free(), A=np.eye(2)),),
+        b=[1e200, 1e200],
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = pc.run(prob, pc.SolverConfig(record_xi=True))
+    assert result.reason.kind == pc.NON_FINITE
     assert len(result.log) == 1
 
 
