@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -79,6 +80,15 @@ def _finite(x):
     return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
 
 
+@lru_cache(maxsize=64)
+def _probe(n):
+    """The probe of :func:`_ortho_scaled_holds`, z_j = 2 + cos(j);
+    read-only, as it is shared."""
+    z = 2.0 + np.cos(np.arange(n))
+    z.flags.writeable = False
+    return z
+
+
 def _ortho_scaled_holds(A):
     # A'A = cI with c = ||A e_1||^2 > 0, to a relative 1e-12, in O(mn)
     # where forming A'A is O(mn^2); rank(A) <= m rules out n > m.  Equal
@@ -91,7 +101,7 @@ def _ortho_scaled_holds(A):
     with np.errstate(all="ignore"):
         cols = np.einsum("ij,ij->j", A, A)
         c = cols[0]
-        z = 2.0 + np.cos(np.arange(n))
+        z = _probe(n)
         r = A.T @ (A @ z) - c * z
         return bool(c > 0 and abs(cols - c).max() <= 1e-12 * c and r @ r <= (1e-12 * c) ** 2 * (z @ z))
 
@@ -157,7 +167,7 @@ class WeightedL1:
         object.__setattr__(self, "tau", float(self.tau))
 
     def value(self, x):
-        return float(self.tau * np.sum(np.abs(x)))
+        return float(self.tau * np.abs(x).sum())
 
     def parts(self):
         return None, 0.0, self.tau
@@ -221,7 +231,7 @@ class Box:
         object.__setattr__(self, "hi", _as_vector(self.hi, "hi"))
 
     def project(self, v):
-        return np.clip(v, self.lo, self.hi)
+        return np.minimum(np.maximum(v, self.lo), self.hi)
 
 
 @dataclass(frozen=True)

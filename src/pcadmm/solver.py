@@ -191,8 +191,8 @@ def run(
 
     Each block's solve is compiled once (:func:`compile_blocks`), after
     validation; a block that cannot be set up, such as an exact block
-    with a singular normal matrix, stops the run before its first
-    iteration.
+    with a singular or non-finite normal matrix, stops the run before
+    its first iteration.
     """
     violations = validate_problem(problem)
     if violations:
@@ -212,13 +212,13 @@ def run(
     warm = None
     reason = StopReason(MAX_ITERS, f"no convergence in {config.max_iters} iterations")
     iterations = range(config.max_iters)
-    try:
-        plans = compile_blocks(problem, beta)
-    except SubproblemError as e:
-        reason, iterations = StopReason(SUBPROBLEM_FAILURE, str(e)), ()
     # Overflowing data ends the run as non_finite, from its logged row,
-    # not with a numpy warning from inside the loop.
+    # or as subproblem_failure from the compile, not with a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            plans = compile_blocks(problem, beta)
+        except SubproblemError as e:
+            reason, iterations = StopReason(SUBPROBLEM_FAILURE, str(e)), ()
         for k in iterations:
             xi_k = xi_from_aggregates(state.a, state.lam, beta)
             try:

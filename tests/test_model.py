@@ -187,6 +187,9 @@ def test_ortho_scaled_is_derived_from_a():
             assert not pc.BlockSpec(theta=pc.Zero(), A=np.diag([1.0, bad])).ortho_scaled
         for A in (np.zeros((2, 2)), np.zeros((2, 0)), [[1e200]]):
             assert not pc.BlockSpec(theta=pc.Zero(), A=A).ortho_scaled
+    # the probe is built once per n and shared, so it cannot be written
+    assert model._probe(5) is model._probe(5) and not model._probe(5).flags.writeable
+    np.testing.assert_array_equal(model._probe(5), 2.0 + np.cos(np.arange(5)))
 
 
 @pytest.mark.parametrize("claim, A, route", [(True, np.diag([1.0, 3.0]), "pg"), (False, np.eye(2), "closed")])

@@ -376,3 +376,100 @@ def test_pg_route_convexity_gate(monkeypatch):
 def test_singular_exact_block_fails_when_compiled():
     with pytest.raises(pc.SingularSystemError, match="normal matrix"):
         pc.compile_block(pc.BlockSpec(theta=pc.Quadratic(np.zeros((2, 2)), np.zeros(2)), A=np.array([[1.0, 1.0]])), 1.0)
+
+
+# Square diagonal couplings, which compile_block applies elementwise, and
+# two near misses that must keep the dense products
+DIAGONAL_AS = {
+    "negative-scaled-identity": -1.5 * np.eye(4),
+    "diagonal-with-a-zero": np.diag([2.0, 0.0, -0.5, 3.0]),
+    "one-by-one": np.array([[-2.0]]),
+}
+DENSE_AS = {
+    "tall-identity": np.vstack([np.eye(4), np.zeros((2, 4))]),
+    "one-off-diagonal-entry": np.diag([2.0, 1.0, -0.5, 3.0]) + 0.25 * np.eye(4, k=2),
+}
+
+
+def _coupling_blocks(A):
+    # (route, block) for each route a block with this A can take: l1 on a
+    # box is closed when A is ortho-scaled and pg otherwise; a quadratic
+    # on the orthant is pg with the Newton solve
+    n = A.shape[1]
+    rng = np.random.default_rng(43)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    quad = pc.Quadratic((Q * rng.uniform(0.5, 3, n)) @ Q.T, rng.standard_normal(n))
+
+    def custom_solve(req, inner_tol, x0):
+        S = np.eye(n) + req.beta * req.A.T @ req.A
+        return np.linalg.solve(S, req.beta * req.A.T @ req.v)
+
+    l1 = pc.BlockSpec(theta=pc.WeightedL1(0.4), set=pc.Box(-0.5 * np.ones(n), 0.4 * np.ones(n)), A=A)
+    return [
+        ("closed" if l1.ortho_scaled else "pg", l1),
+        ("exact", pc.BlockSpec(theta=quad, set=pc.Free(), A=A)),
+        ("pg", pc.BlockSpec(theta=quad, set=pc.NonNeg(), A=A)),
+        ("custom", pc.BlockSpec(theta=pc.Custom(lambda x: 0.5 * float(x @ x), custom_solve), A=A)),
+    ]
+
+
+def _dense_solve(route, blk, beta, v, inner_tol, x0):
+    # each route's formula with A'v and Ax as dense products
+    theta, st, A = blk.theta, blk.set, blk.A
+    if route == "custom":
+        x = theta.solve(SubproblemRequest(theta=theta, set=st, A=A, beta=beta, v=v), inner_tol, x0)
+        return x, A @ x
+    S, lip, r, tau = _normal_form(theta, A, beta, v)
+    if route == "closed":
+        L = beta * float(A[:, 0] @ A[:, 0])
+        x = pc.project_set(pc.prox_shrink(r / L, tau / L), st)
+    elif route == "exact":
+        m = A.shape[0]
+        sol = np.linalg.solve(S, np.column_stack([beta * A.T, -theta.c]))
+        x = sol[:, :m] @ v + sol[:, m]
+    elif isinstance(st, pc.NonNeg):
+        x = prox._active_set_newton(S, lip, r - tau, st, inner_tol, x0)
+        assert x is not None
+    else:
+        x = prox._projected_gradient(S, lip, r, tau, st, inner_tol, x0)
+    return x, A @ x
+
+
+class _CountingMatrix(np.ndarray):
+    """A coupling matrix that counts the matrix products it enters."""
+
+    products = 0
+
+    def __array_wrap__(self, arr, context=None, return_scalar=False):
+        return np.asarray(arr)  # results of arithmetic on it count nothing
+
+    def __matmul__(self, other):
+        _CountingMatrix.products += 1
+        return np.asarray(self) @ other
+
+
+@pytest.mark.parametrize("name", [*DIAGONAL_AS, *DENSE_AS])
+def test_diagonal_couplings_match_the_dense_products(name):
+    # bit for bit on every route, with no matrix product in a diagonal
+    # block's solve and at least one per solve in any other block
+    A = {**DIAGONAL_AS, **DENSE_AS}[name]
+    beta, inner_tol = 1.3, 1e-11
+    for route, blk in _coupling_blocks(A):
+        plan = pc.compile_block(blk, beta)
+        assert plan.route == route
+        counted = pc.BlockSpec(theta=blk.theta, set=blk.set, A=A)
+        object.__setattr__(counted, "A", A.view(_CountingMatrix))
+        counted_plan = pc.compile_block(counted, beta)
+        rng = np.random.default_rng(47)
+        x0 = None
+        for _ in range(3):
+            v = rng.standard_normal(A.shape[0])
+            req = SubproblemRequest(theta=blk.theta, set=blk.set, A=A, beta=beta, v=v, plan=plan)
+            x, a = plan.solve(req, inner_tol, x0)
+            x_dense, a_dense = _dense_solve(route, blk, beta, v, inner_tol, x0)
+            assert np.array_equal(x, x_dense) and np.array_equal(a, a_dense)
+            _CountingMatrix.products = 0
+            x_counted, _ = counted_plan.solve(req, inner_tol, x0)
+            assert np.array_equal(x_counted, x)
+            assert (_CountingMatrix.products == 0) == (name in DIAGONAL_AS)
+            x0 = x

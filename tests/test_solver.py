@@ -1,4 +1,5 @@
 import csv
+import time
 import warnings
 
 import numpy as np
@@ -407,6 +408,31 @@ def test_overflowing_data_stops_after_one_row_without_a_warning():
         result = pc.run(prob, pc.SolverConfig(record_xi=True))
     assert result.reason.kind == pc.NON_FINITE
     assert len(result.log) == 1
+
+
+@pytest.mark.parametrize(
+    "theta, set_spec, a, beta",
+    [
+        (pc.Quadratic(np.eye(1), [0.0]), pc.Free(), 1e200, 1.0),
+        (pc.Zero(), pc.NonNeg(), 1e200, 1.0),
+        (pc.Zero(), pc.Free(), 1e150, 1e10),
+    ],
+    ids=["exact", "pg", "closed"],
+)
+def test_a_non_finite_normal_matrix_fails_at_compile_time(theta, set_spec, a, beta):
+    # A and beta are finite, but S = beta A'A overflows: the exact and
+    # closed routes used to return x = 0 forever, the pg route to spin
+    # 200,000 steps
+    prob = pc.SeparableProblem(blocks=(pc.BlockSpec(theta=theta, set=set_spec, A=[[a]]),), b=[1.0])
+    assert pc.validate_problem(prob) == []
+    t0 = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = pc.run(prob, pc.SolverConfig(beta=beta, max_iters=50))
+    assert time.perf_counter() - t0 < 0.1
+    assert result.reason.kind == pc.SUBPROBLEM_FAILURE
+    assert result.reason.detail == "block 0: normal matrix H + beta*A'A is not finite"
+    assert result.solution is None and len(result.log) == 0
 
 
 @pytest.mark.parametrize("box", [False, True])
