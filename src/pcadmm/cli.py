@@ -14,6 +14,7 @@ go to CSV files.  Exit codes: 0 success/converged, 2 iteration limit,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import json
 import os
@@ -31,6 +32,8 @@ __all__ = ["main", "cmd_solve", "cmd_verify_matrices", "cmd_bench"]
 
 DEFAULT_P_LIST = (1, 2, 3, 5)
 DEFAULT_NU_LIST = (0.01, 0.25, 0.5, 0.75, 0.99)
+# The SolverConfig fields that `solve` takes as flags, with their defaults.
+_SOLVE_FIELDS = [f for f in dataclasses.fields(SolverConfig) if f.name != "record_xi"]
 
 
 class CliError(Exception):
@@ -51,12 +54,9 @@ def _build_parser():
 
     ps = sub.add_parser("solve", help="solve a problem from a JSON file")
     ps.add_argument("--problem", help="path to the problem JSON file")
-    ps.add_argument("--variant", choices=_VARIANTS, default="pd")
-    ps.add_argument("--beta", type=float, default=1.0)
-    ps.add_argument("--nu", type=float, default=0.99)
-    ps.add_argument("--tol", type=float, default=1e-6)
-    ps.add_argument("--max-iters", type=int, default=10000)
-    ps.add_argument("--inner-tol", type=float, default=1e-10)
+    for f in _SOLVE_FIELDS:
+        extra = {"choices": _VARIANTS} if f.name == "variant" else {}
+        ps.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default, **extra)
     ps.add_argument("--log", help="path for the per-iteration CSV log")
     ps.add_argument("--reference", help="JSON file with keys 'a' and 'lambda'")
     ps.add_argument("--init", help="JSON file with keys 'x' and 'lambda'")
@@ -116,14 +116,7 @@ def cmd_solve(args) -> int:
         raise CliError("missing --problem\nusage: pcadmm solve --problem FILE [options]")
     try:
         problem = problem_from_json(_load_json(args.problem, "problem"))
-        config = SolverConfig(
-            variant=args.variant,
-            beta=args.beta,
-            nu=args.nu,
-            max_iters=args.max_iters,
-            tol=args.tol,
-            inner_tol=args.inner_tol,
-        )
+        config = SolverConfig(**{f.name: getattr(args, f.name) for f in _SOLVE_FIELDS})
     except ValueError as e:
         raise CliError(str(e))
 

@@ -9,12 +9,10 @@ definite.  Every factory assembles its matrix from exact block
 templates (entries drawn from {0, +-1, +-nu, k/nu}), never by floating
 accumulation, so H M = Q can be checked near machine exactness.
 
-G is double-entry bookkeeping: it is computed from its definition and
-cross-checked against the known closed form for the requested variant;
-a mismatch signals a factory bug and raises
-:class:`ClosedFormMismatchError`.
 Each factory returns kron(T, I_m) of its own m = 1 build T, so
-:func:`kron_form` evaluates the H- and G-forms from T alone.
+:func:`kron_form` evaluates the H- and G-forms from T alone; one
+function writes the templates of M, H and G.  G is the closed form,
+which :func:`verify_framework` checks against its definition.
 """
 
 from __future__ import annotations
@@ -27,20 +25,8 @@ import numpy as np
 from .model import SeparableProblem, _check_nu, _check_variant
 
 __all__ = [
-    "ClosedFormMismatchError",
-    "FrameworkReport",
-    "build_p",
-    "build_q",
-    "build_m",
-    "build_h",
-    "kron_form",
-    "build_g",
-    "verify_framework",
-    "vi_operator",
-    "check_skew",
-    "xi_from_aggregates",
-    "stack_blocks",
-    "split_stacked",
+    "ClosedFormMismatchError", "FrameworkReport", "build_p", "build_q", "build_m", "build_h", "kron_form",
+    "build_g", "verify_framework", "vi_operator", "check_skew", "xi_from_aggregates", "stack_blocks", "split_stacked",
 ]
 
 HMQ_TOL = 1e-13
@@ -90,6 +76,16 @@ def build_p(problem: SeparableProblem, beta: float) -> np.ndarray:
     return P
 
 
+def _check_size(name, value):
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value!r}")
+
+
+def _kron(T, m):
+    _check_size("m", m)
+    return np.kron(T, np.eye(m))
+
+
 def build_q(variant: str, p: int, m: int) -> np.ndarray:
     """Prediction weight matrix in scaled-aggregate coordinates; all
     entries are 0 or +-1.
@@ -98,13 +94,38 @@ def build_q(variant: str, p: int, m: int) -> np.ndarray:
     [[L, 0], [-E, I_m]].
     """
     _check_variant(variant)
+    _check_size("p", p)
     T = np.eye(p + 1)
     T[:p, :p] = np.tril(np.ones((p, p)))
     if variant == "pd":
         T[:p, p] = 1.0
     else:
         T[p, :p] = -1.0
-    return np.kron(T, np.eye(m))
+    return _kron(T, m)
+
+
+def _templates(variant, p, nu):
+    """The m = 1 templates (T_M, T_H, T_G) of :func:`build_m`,
+    :func:`build_h` and :func:`build_g`, written entry by entry."""
+    _check_variant(variant)
+    _check_nu(nu)
+    _check_size("p", p)
+    T_M = np.eye(p + 1)
+    T_M[:p, :p] = nu * (np.eye(p) - np.eye(p, k=1))
+    # H and G share their multiplier part: [[E'E, E'], [E, 1]] (all
+    # ones) for primal-first, [[0, 0], [0, 1]] for multiplier-first.
+    if variant == "pd":
+        T_M[p, 0] = -nu
+        T_G = np.ones((p + 1, p + 1))
+    else:
+        T_M[p, :p] = -1.0
+        T_G = np.zeros((p + 1, p + 1))
+        T_G[p, p] = 1.0
+    T_H = T_G.copy()
+    idx = np.arange(1, p + 1)
+    T_H[:p, :p] += np.minimum.outer(idx, idx) / nu
+    T_G[:p, :p] += (1.0 - nu) * np.eye(p)
+    return T_M, T_H, T_G
 
 
 def build_m(variant: str, p: int, m: int, nu: float) -> np.ndarray:
@@ -116,24 +137,7 @@ def build_m(variant: str, p: int, m: int, nu: float) -> np.ndarray:
     runs: :mod:`pcadmm.corrector` applies the m = 1 build, rescaled to
     (a, lam) coordinates.
     """
-    _check_variant(variant)
-    _check_nu(nu)
-    T = np.eye(p + 1)
-    T[:p, :p] = nu * (np.eye(p) - np.eye(p, k=1))
-    if variant == "pd":
-        T[p, 0] = -nu
-    else:
-        T[p, :p] = -1.0
-    return np.kron(T, np.eye(m))
-
-
-def _multiplier_part(variant, p):
-    # The m = 1 template of what H and the closed-form G add to their
-    # top-left block: [[E'E, E'], [E, 1]] (all ones) for primal-first,
-    # [[0, 0], [0, 1]] for multiplier-first.
-    T = np.ones((p + 1, p + 1)) if variant == "pd" else np.zeros((p + 1, p + 1))
-    T[p, p] = 1.0
-    return T
+    return _kron(_templates(variant, p, nu)[0], m)
 
 
 def build_h(variant: str, p: int, m: int, nu: float) -> np.ndarray:
@@ -142,12 +146,7 @@ def build_h(variant: str, p: int, m: int, nu: float) -> np.ndarray:
     Primal-first: [[(1/nu) LL' + E'E, E'], [E, I]].  Multiplier-first:
     [[(1/nu) LL', 0], [0, I]].  (LL')_ij = min(i, j) identity blocks.
     """
-    _check_variant(variant)
-    _check_nu(nu)
-    idx = np.arange(1, p + 1)
-    T = _multiplier_part(variant, p)
-    T[:p, :p] += np.minimum.outer(idx, idx) / nu
-    return np.kron(T, np.eye(m))
+    return _kron(_templates(variant, p, nu)[1], m)
 
 
 def kron_form(T, x):
@@ -163,34 +162,14 @@ def kron_form(T, x):
     return np.einsum("...ij,ij->...", gram, T)
 
 
-def _closed_form_g(variant, p, m, nu):
-    T = _multiplier_part(variant, p)
-    T[:p, :p] += (1.0 - nu) * np.eye(p)
-    return np.kron(T, np.eye(m))
-
-
 def build_g(variant: str, p: int, m: int, nu: float) -> np.ndarray:
-    """Decrease matrix G = Q' + Q - M'HM, computed from the factories
-    and asserted against its closed form.
+    """Decrease matrix G = Q' + Q - M'HM in its closed form, which
+    :func:`verify_framework` checks against that definition.
 
-    Closed forms: [[(1-nu)I + E'E, E'], [E, I]] for the primal-first
-    variant and diag((1-nu)I_pm, I_m) for the multiplier-first one.
-    Raises :class:`ClosedFormMismatchError` on disagreement beyond
-    1e-13, which would indicate a factory bug.
+    Primal-first: [[(1-nu)I + E'E, E'], [E, I]].  Multiplier-first:
+    diag((1-nu)I_pm, I_m).
     """
-    Q = build_q(variant, p, m)
-    M = build_m(variant, p, m, nu)
-    H = build_h(variant, p, m, nu)
-    # Associate as M'(HM): HM is exactly Q up to roundoff, which keeps
-    # the intermediate entries O(1) and the final error tiny.
-    G = (Q.T + Q) - M.T @ (H @ M)
-    ref = _closed_form_g(variant, p, m, nu)
-    err = float(np.max(np.abs(G - ref)))
-    if err > HMQ_TOL:
-        raise ClosedFormMismatchError(
-            f"G mismatch {err:.3e} for variant={variant}, p={p}, m={m}, nu={nu}"
-        )
-    return G
+    return _kron(_templates(variant, p, nu)[2], m)
 
 
 def verify_framework(variant: str, p: int, m: int, nu: float) -> FrameworkReport:
@@ -199,25 +178,27 @@ def verify_framework(variant: str, p: int, m: int, nu: float) -> FrameworkReport
     Reports max|HM - Q| and the smallest eigenvalues of H, G, and
     Q' + Q; the case passes when the first is at most 1e-13 and the
     minima are strictly positive.
+
+    G is double-entry bookkeeping: the closed form :func:`build_g`
+    returns is cross-checked against Q' + Q - M'HM of the other three
+    factories, and a disagreement beyond 1e-13 signals a factory bug
+    and raises :class:`ClosedFormMismatchError`.
     """
-    _check_variant(variant)
-    _check_nu(nu)
-    Q, M = build_q(variant, p, m), build_m(variant, p, m, nu)
-    H, G = build_h(variant, p, m, nu), build_g(variant, p, m, nu)
-    maxerr = float(np.max(np.abs(H @ M - Q)))
-    h_min = float(np.linalg.eigvalsh((H + H.T) / 2.0)[0])
-    g_min = float(np.linalg.eigvalsh((G + G.T) / 2.0)[0])
+    Q = build_q(variant, p, m)
+    M, H, G = (_kron(T, m) for T in _templates(variant, p, nu))
     qtq = Q.T + Q
-    qtq_min = float(np.linalg.eigvalsh((qtq + qtq.T) / 2.0)[0])
+    # Associate as M'(HM): HM is exactly Q up to roundoff, which keeps
+    # the intermediate entries O(1) and the final error tiny.
+    HM = H @ M
+    g_err = float(np.max(np.abs(qtq - M.T @ HM - G)))
+    if g_err > HMQ_TOL:
+        raise ClosedFormMismatchError(f"G mismatch {g_err:.3e} for variant={variant}, p={p}, m={m}, nu={nu}")
     return FrameworkReport(
-        variant=variant,
-        p=p,
-        m=m,
-        nu=nu,
-        hm_eq_q_maxerr=maxerr,
-        h_min_eig=h_min,
-        g_min_eig=g_min,
-        qtq_min_eig=qtq_min,
+        variant, p, m, nu,
+        hm_eq_q_maxerr=float(np.max(np.abs(HM - Q))),
+        h_min_eig=float(np.linalg.eigvalsh((H + H.T) / 2.0)[0]),
+        g_min_eig=float(np.linalg.eigvalsh((G + G.T) / 2.0)[0]),
+        qtq_min_eig=float(np.linalg.eigvalsh((qtq + qtq.T) / 2.0)[0]),
     )
 
 

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .model import BlockSpec, Custom, Free, GE, NonNeg, _finite
+from .model import BlockSpec, Custom, Free, GE, NonNeg, _finite, _norm
 
 __all__ = [
     "BlockPlan",
@@ -267,7 +267,7 @@ def _active_set_newton(S, lip, r, set_spec, inner_tol, x0):
         y[free] = np.linalg.solve(S[free][:, free], r[free])
         active = S @ y - r > lip * y
         x = np.maximum(y, 0.0)
-        if lip * float(np.linalg.norm(x - _prox_step(S, lip, r, 0.0, set_spec, x))) <= gtol:
+        if lip * _norm(x - _prox_step(S, lip, r, 0.0, set_spec, x)) <= gtol:
             return x
     return None
 
@@ -292,7 +292,7 @@ def _projected_gradient(S, lip, r, tau, set_spec, inner_tol, x0):
     gtol = GAP_FRACTION * inner_tol
     for _ in range(MAX_INNER_ITERS):
         x_next = _prox_step(S, lip, r, tau, set_spec, x)
-        gap = float(np.linalg.norm(x - x_next)) * lip
+        gap = _norm(x - x_next) * lip
         x = x_next
         if gap <= gtol:
             return x

@@ -78,12 +78,40 @@ def test_g_spot_values():
 
 
 def test_g_mismatch_raises(monkeypatch):
-    def wrong(variant, p, m, nu):
-        return np.zeros(((p + 1) * m, (p + 1) * m))
+    # a wrong closed-form G template is caught where G meets its definition
+    templates = matrices._templates
 
-    monkeypatch.setattr(matrices, "_closed_form_g", wrong)
-    with pytest.raises(pc.ClosedFormMismatchError):
-        pc.build_g("pd", 2, 1, 0.5)
+    def wrong_g(variant, p, nu):
+        T_M, T_H, T_G = templates(variant, p, nu)
+        T_G[0, 0] += 1e-12
+        return T_M, T_H, T_G
+
+    monkeypatch.setattr(matrices, "_templates", wrong_g)
+    with pytest.raises(pc.ClosedFormMismatchError, match="G mismatch"):
+        pc.verify_framework("pd", 2, 1, 0.5)
+
+
+def test_closed_form_g_matches_its_definition():
+    for variant, p, m, nu in itertools.product(("pd", "dp"), range(1, 9), (1, 2, 3), DEFAULT_NU_LIST):
+        Q, M, H = pc.build_q(variant, p, m), pc.build_m(variant, p, m, nu), pc.build_h(variant, p, m, nu)
+        err = np.max(np.abs(pc.build_g(variant, p, m, nu) - ((Q.T + Q) - M.T @ (H @ M))))
+        assert err <= 1e-13, (variant, p, m, nu, err)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: pc.verify_framework("dp", 0, 1, 0.5), "p"),
+        (lambda: pc.verify_framework("pd", 0, 1, 0.5), "p"),
+        (lambda: pc.verify_framework("pd", 2, 0, 0.5), "m"),
+        (lambda: pc.build_h("pd", 2, 0, 0.5), "m"),
+        (lambda: pc.build_q("dp", -1, 2), "p"),
+        (lambda: pc.build_g("pd", 3, -2, 0.5), "m"),
+    ],
+)
+def test_factories_reject_sizes_below_one(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+        call()
 
 
 def test_condition_sweep():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import pcadmm as pc
-from pcadmm import model
+from pcadmm import cli, model
 
 
 def two_block_problem():
@@ -371,6 +372,16 @@ def test_solver_config_validation():
         with pytest.raises(ValueError, match=f"^{name} must"):
             pc.SolverConfig(**{name: value})
     assert pc.SolverConfig(max_iters=np.int64(3), tol=0.0).max_iters == 3
+
+
+def test_solve_flag_defaults_are_the_solver_config_defaults():
+    args = cli._build_parser().parse_args(["solve"])
+    defaults = {f.name: f.default for f in dataclasses.fields(pc.SolverConfig) if f.name != "record_xi"}
+    assert set(defaults) == {"variant", "beta", "nu", "max_iters", "tol", "inner_tol"}
+    for name, value in defaults.items():
+        assert getattr(args, name) == value and type(getattr(args, name)) is type(value), name
+    assert pc.SolverConfig(**{name: getattr(args, name) for name in defaults}) == pc.SolverConfig()
+    assert cli._build_parser().parse_args(["solve", "--max-iters", "7"]).max_iters == 7
 
 
 # Every atom at x = (1, -2) and every set's projection of v = (-1.5, 0.5, 3), by hand.
