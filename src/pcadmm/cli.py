@@ -50,7 +50,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser():
     parser = _Parser(prog="pcadmm", description=__doc__)
-    sub = parser.add_subparsers(dest="command")
+    parser.set_defaults(func=None)
+    sub = parser.add_subparsers()
 
     ps = sub.add_parser("solve", help="solve a problem from a JSON file")
     ps.add_argument("--problem", help="path to the problem JSON file")
@@ -60,17 +61,20 @@ def _build_parser():
     ps.add_argument("--log", help="path for the per-iteration CSV log")
     ps.add_argument("--reference", help="JSON file with keys 'a' and 'lambda'")
     ps.add_argument("--init", help="JSON file with keys 'x' and 'lambda'")
+    ps.set_defaults(func=cmd_solve)
 
     pv = sub.add_parser("verify-matrices", help="check the convergence conditions")
     pv.add_argument("--p-max", type=int, default=5)
     pv.add_argument("--m-max", type=int, default=2)
     pv.add_argument("--nu-list", default=",".join(str(v) for v in DEFAULT_NU_LIST))
+    pv.set_defaults(func=cmd_verify_matrices)
 
     pb = sub.add_parser("bench", help="run a benchmark suite")
     pb.add_argument("--suite", choices=["eq-qp", "ineq-qp", "lasso", "svm"])
     pb.add_argument("--seed", type=int, default=0)
     pb.add_argument("--log-dir", help="write one CSV log per run into this directory")
     pb.add_argument("--dump", help="write the generated problems as JSON into this directory")
+    pb.set_defaults(func=cmd_bench)
     return parser
 
 
@@ -134,10 +138,8 @@ def cmd_solve(args) -> int:
 
     log = result.log
     if len(log):  # empty when a block failed before the first iteration
-        print(f"objective={log.objective[-1]!r}")
-        print(f"primal_res={log.primal_res[-1]!r}")
-        print(f"compl_res={log.compl_res[-1]!r}")
-        print(f"pred_gap={log.pred_gap[-1]!r}")
+        for name in ("objective", "primal_res", "compl_res", "pred_gap"):
+            print(f"{name}={getattr(log, name)[-1]!r}")
     print(f"iters={len(log)}")
     print(f"reason={result.reason.kind}")
     if result.reason.detail:
@@ -253,13 +255,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "solve":
-            return cmd_solve(args)
-        if args.command == "verify-matrices":
-            return cmd_verify_matrices(args)
-        if args.command == "bench":
-            return cmd_bench(args)
-        raise CliError(parser.format_usage().rstrip())
+        if args.func is None:
+            raise CliError(parser.format_usage().rstrip())
+        return args.func(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

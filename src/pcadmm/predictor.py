@@ -52,6 +52,8 @@ def _predict(variant, problem, state, beta, inner_tol, warm_start, plans):
     a, lam = state.a, state.lam
     if a.shape != (problem.p, problem.m) or lam.shape != (problem.m,):
         raise ValueError(f"state shapes {a.shape}, {lam.shape} do not fit p={problem.p}, m={problem.m}")
+    if warm_start is not None and len(warm_start) != problem.p:
+        raise ValueError(f"warm_start has {len(warm_start)} blocks, expected p={problem.p}")
     if variant == "dp":
         lam = solve_lambda_subproblem(lam, a.sum(axis=0) - problem.b, beta, problem.sense)
     if plans is None:

@@ -83,7 +83,12 @@ def _quadratic_blocks(rng, block_dims, m):
     return blocks
 
 
-def _full_qp_data(problem):
+def _full_qp_data(problem, sets):
+    """Stacked H, c and A; every block must be Quadratic on one of ``sets``."""
+    for i, blk in enumerate(problem.blocks):
+        if not (isinstance(blk.theta, Quadratic) and isinstance(blk.set, sets)):
+            scope = f"Quadratic on {'/'.join(s.__name__ for s in sets)}"
+            raise ValueError(f"block {i} is {type(blk.theta).__name__} on {type(blk.set).__name__}, outside the oracle's {scope}")
     H = [blk.theta.H for blk in problem.blocks]
     n_total = sum(blk.n for blk in problem.blocks)
     Hfull = np.zeros((n_total, n_total))
@@ -108,7 +113,7 @@ def kkt_oracle(problem: SeparableProblem) -> ReferenceSolution:
     problems with free blocks: [blkdiag(H_i), -A'; A, 0](x, lam) = (-c, b)."""
     if problem.sense != EQ:
         raise ValueError("kkt_oracle handles equality constraints only")
-    Hfull, c, A = _full_qp_data(problem)
+    Hfull, c, A = _full_qp_data(problem, (Free,))
     n, m = Hfull.shape[0], problem.m
     K = np.block([[Hfull, -A.T], [A, np.zeros((m, m))]])
     rhs = np.concatenate([-c, problem.b])
@@ -132,7 +137,7 @@ def active_set_oracle(problem: SeparableProblem) -> ReferenceSolution:
     """
     if problem.sense != GE:
         raise ValueError("active_set_oracle handles '>=' constraints only")
-    Hfull, c, A = _full_qp_data(problem)
+    Hfull, c, A = _full_qp_data(problem, (Free, NonNeg))
     n, m = Hfull.shape[0], problem.m
 
     rows = [A]
@@ -144,8 +149,6 @@ def active_set_oracle(problem: SeparableProblem) -> ReferenceSolution:
             sel[:, pos : pos + blk.n] = np.eye(blk.n)
             rows.append(sel)
             rhs.append(np.zeros(blk.n))
-        elif not isinstance(blk.set, Free):
-            raise ValueError("active_set_oracle supports free and nonneg blocks only")
         pos += blk.n
     R = np.vstack(rows)
     r = np.concatenate(rhs)

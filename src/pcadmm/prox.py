@@ -227,8 +227,8 @@ def solve_block_subproblem(req: SubproblemRequest, inner_tol: float, x0=None):
     """Solve one block subproblem with ``req.plan``, or with a plan
     compiled for this call from ``req``'s theta, set and A (see
     :func:`compile_block`); returns ``(x, A @ x)``."""
-    if inner_tol <= 0:
-        raise ValueError("inner_tol must be positive")
+    if not 0.0 < inner_tol < math.inf:
+        raise ValueError(f"inner_tol must be positive and finite, got {inner_tol!r}")
     plan = req.plan
     if plan is None:
         plan = compile_block(BlockSpec(theta=req.theta, set=req.set, A=req.A), req.beta)

@@ -30,6 +30,7 @@ from .model import (
     PredictorState,
     SeparableProblem,
     SolverConfig,
+    _finite,
     _norm,
     feasibility_residual,
     objective_value,
@@ -56,7 +57,12 @@ MAX_ITERS = "max_iters"
 NON_FINITE = "non_finite"
 SUBPROBLEM_FAILURE = "subproblem_failure"
 
-CSV_COLUMNS = ["iter", "primal_res", "compl_res", "pred_gap", "dist_H", "objective"]
+# The CSV log's columns in file order: (header, RunLog list) pairs.
+_COLUMNS = (
+    ("iter", "iters"), ("primal_res", "primal_res"), ("compl_res", "compl_res"),
+    ("pred_gap", "pred_gap"), ("dist_H", "dist_h"), ("objective", "objective"),
+)
+CSV_COLUMNS = [header for header, _ in _COLUMNS]
 
 
 class MissingReferenceError(ValueError):
@@ -106,21 +112,12 @@ class RunLog:
     def to_csv(self, path):
         """Write the log with the fixed column order; dist_H cells are
         empty when no reference was supplied."""
+        columns = [getattr(self, name) for _, name in _COLUMNS]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
-            for i in range(len(self.iters)):
-                d = self.dist_h[i]
-                writer.writerow(
-                    [
-                        self.iters[i],
-                        repr(self.primal_res[i]),
-                        repr(self.compl_res[i]),
-                        repr(self.pred_gap[i]),
-                        "" if d is None else repr(d),
-                        repr(self.objective[i]),
-                    ]
-                )
+            for row in zip(*columns, strict=True):
+                writer.writerow(["" if v is None else repr(v) for v in row])
 
 
 class RunResult(NamedTuple):
@@ -141,6 +138,8 @@ def _reference_pair(reference, problem):
             f"reference aggregates have shape {a_ref.shape} and multiplier {lam_ref.shape}, "
             f"expected {(p, m)} and {(m,)}"
         )
+    if not (_finite(a_ref) and _finite(lam_ref)):
+        raise ValueError("reference aggregates and multiplier must be finite")
     return a_ref, lam_ref
 
 
@@ -177,8 +176,8 @@ def run(
         Initial primal blocks and multiplier; zeros by default.  The
         primal blocks are only used once, to form the aggregates.
     reference : (a_star, lam_star) or object with .a/.lam, optional
-        Known solution aggregates; enables the dist_H column and the
-        contraction audit.
+        Known solution aggregates, finite; enables the dist_H column
+        and the contraction audit.
 
     Returns
     -------
@@ -264,7 +263,9 @@ def contraction_check(log: RunLog, problem: SeparableProblem, config: SolverConf
     up to a slack of 1e-8 relative to the squared distance plus a
     budget proportional to the inner tolerance (inexact block solves
     perturb the inequality).  Returns the list of iteration indices
-    that violate it; an empty list certifies the run.
+    where it is not shown to hold, so a non-finite term counts as a
+    violation; an empty list certifies the run.  ``reference`` must be
+    finite.
     """
     if reference is None:
         raise MissingReferenceError("contraction audit needs a reference solution")
@@ -282,9 +283,12 @@ def contraction_check(log: RunLog, problem: SeparableProblem, config: SolverConf
     # Snapshot stacks of shape (K+1 or K, p+1, m); g is built in place.
     d = np.array(states, dtype=float).reshape(K + 1, p + 1, m)
     g = np.array(preds, dtype=float).reshape(K, p + 1, m)
-    np.subtract(d[:K], g, out=g)
-    d -= xi_ref.reshape(p + 1, m)
-    dist_sq = kron_form(H, d)
-    rhs = dist_sq[:K] - kron_form(G, g)
-    slack = 1e-8 * (1.0 + dist_sq[:K]) + 100.0 * config.inner_tol
-    return np.flatnonzero(dist_sq[1:] > rhs + slack).tolist()
+    # Overflowed snapshots give inf or NaN forms, and NaN compares False:
+    # an iteration passes only when `<=` holds, so that test is negated.
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(d[:K], g, out=g)
+        d -= xi_ref.reshape(p + 1, m)
+        dist_sq = kron_form(H, d)
+        rhs = dist_sq[:K] - kron_form(G, g)
+        slack = 1e-8 * (1.0 + dist_sq[:K]) + 100.0 * config.inner_tol
+        return np.flatnonzero(~(dist_sq[1:] <= rhs + slack)).tolist()

@@ -128,6 +128,14 @@ def test_state_dimension_check():
         pc.predict_pd(prob, bad, 1.0, 1e-10)
 
 
+@pytest.mark.parametrize("predict", [pc.predict_pd, pc.predict_dp])
+def test_warm_start_of_the_wrong_length_is_rejected(predict):
+    prob = one_block_toy()
+    for warm in ((), (np.zeros(1), np.zeros(1))):
+        with pytest.raises(ValueError, match=r"warm_start has \d blocks, expected p=1"):
+            predict(prob, zero_state(prob), 1.0, 1e-10, warm_start=warm)
+
+
 def test_sweeps_and_corrections_build_states_in_converted_form():
     # predict_* and correct_* skip the states' __post_init__; what they
     # build must already be what it would give, on every route

@@ -69,6 +69,31 @@ def test_active_set_oracle_inactive_constraint():
     np.testing.assert_allclose(ref.lam, [0.0])
 
 
+@pytest.mark.parametrize(
+    "oracle, sense, theta, set_spec",
+    [
+        (pc.kkt_oracle, pc.EQ, pc.Quadratic(np.eye(2), [1.0, 1.0]), pc.NonNeg()),
+        (pc.kkt_oracle, pc.EQ, pc.WeightedL1(0.5), pc.Free()),
+        (pc.active_set_oracle, pc.GE, pc.WeightedL1(0.5), pc.Free()),
+        (pc.active_set_oracle, pc.GE, pc.Quadratic(np.eye(2), [1.0, 1.0]), pc.Box([0.0, 0.0], [1.0, 1.0])),
+    ],
+    ids=["kkt-nonneg", "kkt-l1", "active-set-l1", "active-set-box"],
+)
+def test_oracles_reject_blocks_outside_their_scope(oracle, sense, theta, set_spec):
+    # kkt_oracle used to ignore a NonNeg set and return a point outside
+    # it, and an l1 atom used to raise AttributeError
+    prob = pc.SeparableProblem(
+        blocks=(
+            pc.BlockSpec(theta=pc.Quadratic([[1.0]], [0.0]), set=pc.Free(), A=[[1.0]]),
+            pc.BlockSpec(theta=theta, set=set_spec, A=[[1.0, 1.0]]),
+        ),
+        b=[-2.0],
+        sense=sense,
+    )
+    with pytest.raises(ValueError, match=r"^block 1 is \w+ on \w+, outside the oracle's Quadratic on"):
+        oracle(prob)
+
+
 def test_gen_ineq_qp_kkt_conditions():
     for seed in range(5):
         prob, ref = pc.gen_ineq_qp(2, [4, 4], 2, seed)

@@ -198,8 +198,10 @@ def test_singular_system_error():
 
 
 def test_inner_tol_must_be_positive():
-    with pytest.raises(ValueError):
-        pc.solve_block_subproblem(quad_request([[1.0]], [0.0], [[1.0]], 1.0, [0.0]), 0.0)
+    # NaN used to pass a `<= 0` test; inf used to return an uncertified point
+    for inner_tol in (0.0, -1e-10, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="inner_tol must be positive and finite"):
+            pc.solve_block_subproblem(quad_request([[1.0]], [0.0], [[1.0]], 1.0, [0.0]), inner_tol)
 
 
 def test_pg_loop_iteration_cap(monkeypatch):

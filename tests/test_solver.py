@@ -375,6 +375,42 @@ def test_reference_of_the_wrong_shape_is_rejected():
         pc.contraction_check(result.log, prob, config, (ref.a[0], ref.lam))
 
 
+def test_a_non_finite_reference_is_rejected():
+    # a NaN reference used to log dist_H = 0.0 on every row, since
+    # max(0.0, nan) is 0.0, and to certify the run
+    prob, ref = pc.gen_eq_qp(2, [4, 4], 3, seed=12)
+    config = pc.SolverConfig(record_xi=True)
+    result = pc.run(prob, config, reference=ref)
+    lam_inf = np.array(ref.lam)
+    lam_inf[1] = np.inf
+    for bad in ((np.full((2, 3), np.nan), ref.lam), (ref.a, lam_inf)):
+        with pytest.raises(ValueError, match="reference .* must be finite"):
+            pc.run(prob, config, reference=bad)
+        with pytest.raises(ValueError, match="reference .* must be finite"):
+            pc.contraction_check(result.log, prob, config, bad)
+
+
+def test_contraction_check_flags_every_overflowed_iteration_without_a_warning():
+    # theta_0 = -x^2 makes the problem unbounded below; it validates and
+    # runs until the iterates overflow.  Rows whose forms are inf or NaN
+    # must be flagged, not passed because NaN compares False.
+    prob = pc.SeparableProblem(
+        blocks=(
+            pc.BlockSpec(theta=pc.Quadratic([[-2.0]], [0.0]), set=pc.Free(), A=[[2.0]]),
+            pc.BlockSpec(theta=pc.Quadratic([[0.2]], [0.0]), set=pc.Free(), A=[[1.0]]),
+        ),
+        b=[1.0],
+    )
+    config = pc.SolverConfig(record_xi=True)
+    ref = (np.zeros((2, 1)), np.zeros(1))
+    result = pc.run(prob, config, reference=ref)
+    assert result.reason.kind == pc.NON_FINITE
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        violations = pc.contraction_check(result.log, prob, config, ref)
+    assert violations == list(range(len(result.log)))
+
+
 def test_contraction_check_rejects_snapshots_of_the_wrong_length():
     prob, ref = pc.gen_eq_qp(2, [4, 4], 3, seed=12)
     config = pc.SolverConfig(record_xi=True)
