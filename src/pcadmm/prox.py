@@ -92,9 +92,10 @@ class BlockPlan(NamedTuple):
 
 
 def prox_shrink(v, tau):
-    """Componentwise soft threshold: sign(v) * max(|v| - tau, 0)."""
+    """Componentwise soft threshold: sign(v) * max(|v| - tau, 0), up to
+    the sign of an exact zero, as v minus v clipped to [-tau, tau]."""
     v = np.asarray(v, dtype=float)
-    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+    return v - np.minimum(np.maximum(v, -tau), tau)
 
 
 def project_set(v, set_spec):
@@ -112,9 +113,9 @@ def compile_block(block, beta) -> BlockPlan:
     shape ``(n,)``.  A built-in atom gives the normal form with
     S = H + beta A'A and r = beta A'v - c, and
 
-    * ``block.ortho_scaled`` (A'A = cI) with H absent or zero, so S = L*I,
-      route ``closed``: x is the single prox step
-      ``project_set(prox_shrink(r/L, tau/L), set)``;
+    * ``block.ortho_scaled`` (A'A = cI) with H absent or zero
+      (``Quadratic.linear``), so S = L*I, route ``closed``: x is the
+      single prox step ``project_set(prox_shrink(r/L, tau/L), set)``;
     * quadratic atom, free set, route ``exact``: S is checked positive
       definite (else :class:`SingularSystemError`) and factored once
       into K = S^-1 beta A' and x_c = -S^-1 c, so x = K v + x_c;
@@ -135,7 +136,9 @@ def compile_block(block, beta) -> BlockPlan:
     Whether A is square and diagonal is decided once per compile; if
     so, every route applies A'v and Ax as ``d * v`` and ``d * x`` with
     d = diag(A), which on finite data gives the dense products' bits
-    (up to the sign of an exact zero) in O(m) instead of O(m^2).
+    (up to the sign of an exact zero) in O(m) instead of O(m^2).  The
+    set's ``project`` is bound here too, and r skips ``- c`` when c is
+    the scalar 0, so a solve makes no call that its block does not need.
     """
     theta, set_spec, A, n = block.theta, block.set, block.A, block.n
     # x -> A x and v -> A'v, elementwise when only the diagonal is nonzero
@@ -158,11 +161,17 @@ def compile_block(block, beta) -> BlockPlan:
         raise TypeError(f"unknown objective atom {type(theta).__name__}")
     H, c, tau = parts()
     beta = float(beta)
+    project = getattr(set_spec, "project", None)
+    if project is None:
+        raise TypeError(f"unknown set {type(set_spec).__name__}")
+
+    subtract_c = not (isinstance(c, float) and c == 0.0)
 
     def target(v):
-        return beta * adjoint(np.asarray(v, dtype=float)) - c
+        r = beta * adjoint(np.asarray(v, dtype=float))
+        return r - c if subtract_c else r
 
-    if block.ortho_scaled and (H is None or not H.any()):
+    if block.ortho_scaled and (H is None or theta.linear):
         L = beta * float(A[:, 0] @ A[:, 0])
         if not math.isfinite(L):
             raise SubproblemError("normal matrix H + beta*A'A is not finite")
@@ -170,7 +179,7 @@ def compile_block(block, beta) -> BlockPlan:
 
         def solve_closed(req, inner_tol, x0):
             z = target(req.v) / L
-            x = project_set(prox_shrink(z, tau_L) if tau else z, set_spec)
+            x = project(prox_shrink(z, tau_L) if tau else z)
             return x, image(x)
 
         return BlockPlan("closed", solve_closed)
@@ -213,11 +222,11 @@ def compile_block(block, beta) -> BlockPlan:
         x = None
         if newton:
             # tau ||x||_1 = tau 1'x on the orthant
-            x = _active_set_newton(S, lip, r - tau, set_spec, inner_tol, x0)
+            x = _active_set_newton(S, lip, r - tau if tau else r, project, inner_tol, x0)
         if x is None and not np.isfinite(r).all():
             x = np.full(n, np.nan)  # no minimizer: let the run stop with non_finite
         elif x is None:
-            x = _projected_gradient(S, lip, r, tau, set_spec, inner_tol, x0)
+            x = _projected_gradient(S, lip, r, tau, project, inner_tol, x0)
         return x, image(x)
 
     return BlockPlan("pg", solve_pg)
@@ -235,18 +244,18 @@ def solve_block_subproblem(req: SubproblemRequest, inner_tol: float, x0=None):
     return plan.solve(req, inner_tol, x0)
 
 
-def _prox_step(S, lip, r, tau, set_spec, x):
+def _prox_step(S, lip, r, tau, project, x):
     """One proximal-gradient step from x with step 1/lip: the prox of
-    tau ||.||_1 plus the set indicator (shrink-then-project, since both
-    act componentwise) at x - (S x - r)/lip.  ``lip`` times the
-    distance from x to this step is the gradient-map norm, zero exactly
-    at the minimizer."""
+    tau ||.||_1 plus the set indicator (shrink-then-project with the
+    set's ``project``, since both act componentwise) at
+    x - (S x - r)/lip.  ``lip`` times the distance from x to this step
+    is the gradient-map norm, zero exactly at the minimizer."""
     step = 1.0 / lip
     z = x - step * (S @ x - r)
-    return project_set(prox_shrink(z, step * tau) if tau else z, set_spec)
+    return project(prox_shrink(z, step * tau) if tau else z)
 
 
-def _active_set_newton(S, lip, r, set_spec, inner_tol, x0):
+def _active_set_newton(S, lip, r, project, inner_tol, x0):
     """Primal-dual active-set method (Hintermuller, Ito & Kunisch, 2002)
     for min 0.5 x'Sx - r'x over x >= 0 with S positive definite.
 
@@ -258,7 +267,7 @@ def _active_set_newton(S, lip, r, set_spec, inner_tol, x0):
     forever.  Returns None after 2n + 2 steps without a certified point.
     """
     n = r.shape[0]
-    x = project_set(np.zeros(n) if x0 is None else x0, set_spec)
+    x = project(np.zeros(n) if x0 is None else np.asarray(x0, dtype=float))
     active = S @ x - r > lip * x
     gtol = GAP_FRACTION * inner_tol
     for _ in range(2 * n + 2):
@@ -267,12 +276,12 @@ def _active_set_newton(S, lip, r, set_spec, inner_tol, x0):
         y[free] = np.linalg.solve(S[free][:, free], r[free])
         active = S @ y - r > lip * y
         x = np.maximum(y, 0.0)
-        if lip * _norm(x - _prox_step(S, lip, r, 0.0, set_spec, x)) <= gtol:
+        if lip * _norm(x - _prox_step(S, lip, r, 0.0, project, x)) <= gtol:
             return x
     return None
 
 
-def _projected_gradient(S, lip, r, tau, set_spec, inner_tol, x0):
+def _projected_gradient(S, lip, r, tau, project, inner_tol, x0):
     """Proximal/projected gradient on the normal form.
 
     Smooth part: 0.5 x'Sx - r'x, with gradient S x - r and Lipschitz
@@ -284,14 +293,14 @@ def _projected_gradient(S, lip, r, tau, set_spec, inner_tol, x0):
         # lip <= 0): min -r'x + tau||x||_1 separates by coordinate.  Where
         # |r_j| > tau the minimizer is the bound r_j pushes toward,
         # elsewhere the projection of 0.
-        x = project_set(np.where(np.abs(r) > tau, np.copysign(np.inf, r), 0.0), set_spec)
+        x = project(np.where(np.abs(r) > tau, np.copysign(np.inf, r), 0.0))
         if not np.isfinite(x).all():
             raise SingularSystemError("normal matrix H + beta*A'A is zero and the linear term is unbounded")
         return x
-    x = project_set(np.zeros(r.shape[0]) if x0 is None else x0, set_spec)
+    x = project(np.zeros(r.shape[0]) if x0 is None else np.asarray(x0, dtype=float))
     gtol = GAP_FRACTION * inner_tol
     for _ in range(MAX_INNER_ITERS):
-        x_next = _prox_step(S, lip, r, tau, set_spec, x)
+        x_next = _prox_step(S, lip, r, tau, project, x)
         gap = _norm(x - x_next) * lip
         x = x_next
         if gap <= gtol:

@@ -234,7 +234,8 @@ def run(
             obj = objective_value(problem, pred.x_tilde)
             dist = None
             if reference is not None:
-                dist = math.sqrt(max(0.0, kron_form(H, (xi_k - xi_ref).reshape(problem.p + 1, problem.m))))
+                q = kron_form(H, (xi_k - xi_ref).reshape(problem.p + 1, problem.m))
+                dist = math.sqrt(q) if not q < 0.0 else 0.0  # a NaN form logs NaN
             log.append(k, primal, compl, gap, dist, obj)
             if config.record_xi:
                 log.xi_states.append(xi_k)

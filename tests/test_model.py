@@ -409,6 +409,32 @@ def test_atom_values_and_set_projections(cls):
         assert pc.objective_value(prob, [[1.0, -2.0]]) == expected
 
 
+def test_an_all_zero_h_quadratic_is_valued_as_c_x():
+    rng = np.random.default_rng(3)
+    c = rng.standard_normal(5)
+    q = pc.Quadratic(np.zeros((5, 5)), c)
+    assert q.linear
+    for _ in range(5):
+        x = rng.standard_normal(5)
+        assert q.value(x) == float(c @ x)
+    # x'Hx is never formed, so an infinite entry does not turn 0 * inf into NaN
+    assert q.value(np.array([np.inf, 0.0, 0.0, 0.0, 0.0])) == np.copysign(np.inf, c[0])
+
+
+@pytest.mark.parametrize("entry", [1e-300, np.nan], ids=["one-nonzero", "nan"])
+def test_a_quadratic_with_any_nonzero_h_entry_uses_the_full_form(entry):
+    H = np.zeros((3, 3))
+    H[1, 1] = entry
+    c, x = np.array([0.5, 0.0, 2.0]), np.array([1.0, 1e150, -1.0])
+    q = pc.Quadratic(H, c)
+    assert not q.linear
+    with np.errstate(invalid="ignore"):
+        want = float(0.5 * x @ H @ x + c @ x)
+    got = q.value(x)
+    assert got == want or (np.isnan(got) and np.isnan(want))
+    assert got != float(c @ x)
+
+
 def test_block_dimension_comes_from_a():
     assert pc.BlockSpec(theta=pc.Zero(), A=np.ones((3, 2))).n == 2
     with pytest.raises(TypeError):

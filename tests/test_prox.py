@@ -22,6 +22,19 @@ def test_prox_shrink_nonexpansive():
         assert lhs <= np.linalg.norm(v1 - v2) + 1e-14
 
 
+@pytest.mark.parametrize("tau", [0.0, 0.5, np.inf])
+def test_prox_shrink_is_the_sign_form_up_to_the_sign_of_zero(tau):
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal(200) * rng.choice([0.1, 1.0, 10.0], 200)
+    v[:6] = [0.0, -0.0, np.inf, -np.inf, np.nan, 0.5]
+    rng.shuffle(v)
+    with np.errstate(invalid="ignore"):  # inf - inf in both forms
+        got = pc.prox_shrink(v, tau)
+        want = np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    assert np.all((got == want) | np.isnan(want))  # -0.0 == 0.0
+
+
 def test_project_set_values():
     np.testing.assert_array_equal(pc.project_set([-7.0, 2.0], pc.Free()), [-7.0, 2.0])
     np.testing.assert_array_equal(pc.project_set([-1.0, 3.0], pc.NonNeg()), [0.0, 3.0])
@@ -46,6 +59,25 @@ def test_unknown_atom_or_set_is_a_type_error():
         pc.compile_block(pc.BlockSpec(theta=Strange(), A=np.eye(2)), 1.0)
     with pytest.raises(TypeError, match="unknown set Strange"):
         pc.project_set(np.zeros(2), Strange())
+
+
+@pytest.mark.parametrize("st", [pc.Free(), pc.NonNeg(), pc.Box(lo=-0.3 * np.ones(4), hi=0.2 * np.ones(4))], ids=repr)
+def test_closed_route_solve_is_the_projected_shrink(st):
+    rng = np.random.default_rng(11)
+    Q, _ = np.linalg.qr(rng.standard_normal((6, 4)))
+    A, beta = 1.7 * Q, 1.3
+    L = beta * float(A[:, 0] @ A[:, 0])
+    thetas = [pc.WeightedL1(0.4), pc.Zero(), pc.Quadratic(np.zeros((4, 4)), rng.standard_normal(4))]
+    for theta in thetas:
+        plan = pc.compile_block(pc.BlockSpec(theta=theta, set=st, A=A), beta)
+        assert plan.route == "closed"
+        _, c, tau = theta.parts()
+        for _ in range(5):
+            v = rng.standard_normal(6)
+            x, ax = plan.solve(SubproblemRequest(theta, st, A, beta, v), 1e-10, None)
+            want = pc.project_set(pc.prox_shrink((beta * (A.T @ v) - c) / L, tau / L), st)
+            np.testing.assert_array_equal(x, want)
+            np.testing.assert_array_equal(ax, A @ want)
 
 
 def quad_request(H, c, A, beta, v):
@@ -124,7 +156,7 @@ def test_l1_scaled_orthonormal_matches_inner_loop(atom, set_name):
     if atom == "linear" and set_name == "Free":
         x2 = np.linalg.solve(S, r)
     else:
-        x2 = prox._projected_gradient(S, lip, r, tau, st, 1e-12, None)
+        x2 = prox._projected_gradient(S, lip, r, tau, st.project, 1e-12, None)
     np.testing.assert_allclose(x1, x2, atol=1e-9)
 
 
@@ -312,10 +344,10 @@ def test_compiled_plan_matches_per_call_solve(route, blk):
             np.testing.assert_allclose(a, A @ x, rtol=1e-12, atol=0)
         if route == "pg" and isinstance(st, pc.NonNeg):
             S, lip, r, tau = _normal_form(theta, A, beta, v)
-            newton = prox._active_set_newton(S, lip, r - tau, st, inner_tol, x0)
+            newton = prox._active_set_newton(S, lip, r - tau, st.project, inner_tol, x0)
             assert newton is not None
             np.testing.assert_array_equal(x_call, newton)
-            loop = prox._projected_gradient(S, lip, r, tau, st, inner_tol, x0)
+            loop = prox._projected_gradient(S, lip, r, tau, st.project, inner_tol, x0)
             assert np.linalg.norm(newton - loop) <= 1e-9 * max(1.0, np.linalg.norm(loop))
             _assert_nonneg_certificate(S, r, tau, newton, inner_tol, rng)
         x0 = x_call
@@ -336,7 +368,7 @@ def test_newton_certifies_degenerate_nonneg_qps():
         r = S @ x_star - mu
         lip = np.linalg.eigvalsh(S)[-1]
         for x0 in (None, rng.uniform(-1, 2, n)):
-            x = prox._active_set_newton(S, lip, r, pc.NonNeg(), inner_tol, x0)
+            x = prox._active_set_newton(S, lip, r, pc.NonNeg().project, inner_tol, x0)
             assert x is not None
             assert np.linalg.norm(x - x_star) <= 1e-9 * (1 + np.linalg.norm(x_star))
             _assert_nonneg_certificate(S, r, 0.0, x, inner_tol, rng)
@@ -353,7 +385,7 @@ def test_newton_failure_falls_back_to_the_loop(monkeypatch):
     S, lip, r, tau = _normal_form(theta, A, beta, v)
     for x0 in (None, np.ones(A.shape[1])):
         x, _ = plan.solve(req, inner_tol, x0)
-        np.testing.assert_array_equal(x, prox._projected_gradient(S, lip, r, tau, st, inner_tol, x0))
+        np.testing.assert_array_equal(x, prox._projected_gradient(S, lip, r, tau, st.project, inner_tol, x0))
 
 
 def test_pg_route_convexity_gate(monkeypatch):
@@ -430,10 +462,10 @@ def _dense_solve(route, blk, beta, v, inner_tol, x0):
         sol = np.linalg.solve(S, np.column_stack([beta * A.T, -theta.c]))
         x = sol[:, :m] @ v + sol[:, m]
     elif isinstance(st, pc.NonNeg):
-        x = prox._active_set_newton(S, lip, r - tau, st, inner_tol, x0)
+        x = prox._active_set_newton(S, lip, r - tau, st.project, inner_tol, x0)
         assert x is not None
     else:
-        x = prox._projected_gradient(S, lip, r, tau, st, inner_tol, x0)
+        x = prox._projected_gradient(S, lip, r, tau, st.project, inner_tol, x0)
     return x, A @ x
 
 

@@ -411,6 +411,26 @@ def test_contraction_check_flags_every_overflowed_iteration_without_a_warning():
     assert violations == list(range(len(result.log)))
 
 
+def test_dist_h_logs_nan_where_the_h_form_is_nan():
+    # On the unbounded theta_0 = -x^2 example the H-form overflows to
+    # inf and then NaN; a NaN form must log NaN, not the 0.0 that reads
+    # "at the reference".
+    prob = pc.SeparableProblem(
+        blocks=(
+            pc.BlockSpec(theta=pc.Quadratic([[-2.0]], [0.0]), set=pc.Free(), A=[[2.0]]),
+            pc.BlockSpec(theta=pc.Quadratic([[0.2]], [0.0]), set=pc.Free(), A=[[1.0]]),
+        ),
+        b=[1.0],
+    )
+    result = pc.run(prob, pc.SolverConfig(), reference=(np.zeros((2, 1)), np.zeros(1)))
+    assert result.reason.kind == pc.NON_FINITE
+    assert len(result.log) == 886
+    dist = result.log.dist_h
+    assert dist[881] == np.inf
+    assert all(np.isnan(d) for d in dist[882:886])
+    assert 0.0 not in dist[1:]
+
+
 def test_contraction_check_rejects_snapshots_of_the_wrong_length():
     prob, ref = pc.gen_eq_qp(2, [4, 4], 3, seed=12)
     config = pc.SolverConfig(record_xi=True)
