@@ -35,7 +35,7 @@ def _correct(variant, state, pred, nu, beta):
         shapes = state.a.shape, state.lam.shape, pred.a_tilde.shape, pred.lambda_tilde.shape
         raise ValueError("state shapes {}, {} differ from predictor shapes {}, {}".format(*shapes))
     U = np.concatenate((state.a, state.lam[None]))
-    U -= _template(variant, len(state.a), nu, beta) @ (U - np.concatenate((pred.a_tilde, pred.lambda_tilde[None])))
+    U -= _template(variant, len(state.a), nu, beta).dot(U - np.concatenate((pred.a_tilde, pred.lambda_tilde[None])))
     return _trusted(IterateState, a=U[:-1], lam=U[-1])
 
 

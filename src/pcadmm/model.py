@@ -17,6 +17,13 @@ only the aggregates ``A_i x_i`` and the multiplier are carried from one
 iteration to the next (:class:`IterateState`), while each prediction
 sweep produces a full primal point (:class:`PredictorState`) that is the
 reported solution.
+
+The per-iteration products (``Quadratic.value``, the residual norms)
+call ``ndarray.dot``, not ``@``: both reach the same BLAS routine and
+give the same bits, but at the paper's small block sizes the matmul
+ufunc's dispatch costs more than the arithmetic.  ``Quadratic.H`` and
+``BlockSpec.A`` are kept C-contiguous, because ``dot`` copies a strided
+operand on every call.
 """
 
 from __future__ import annotations
@@ -170,7 +177,7 @@ class Quadratic:
     c: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "H", np.asarray(self.H, dtype=float))
+        object.__setattr__(self, "H", np.asarray(self.H, dtype=float, order="C"))
         object.__setattr__(self, "c", _as_vector(self.c, "c"))
 
     @_cached
@@ -182,8 +189,8 @@ class Quadratic:
 
     def value(self, x):
         if self.linear:
-            return float(self.c @ x)
-        return float(0.5 * x @ self.H @ x + self.c @ x)
+            return float(self.c.dot(x))
+        return float((0.5 * x).dot(self.H).dot(x) + self.c.dot(x))
 
     def parts(self):
         return self.H, self.c, 0.0
@@ -283,7 +290,7 @@ class BlockSpec:
     ortho_scaled: bool = field(init=False)
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
+        A = np.asarray(self.A, dtype=float, order="C")
         if A.ndim != 2:
             raise ValueError(f"A must be a matrix, got shape {A.shape}")
         object.__setattr__(self, "A", A)
@@ -485,7 +492,7 @@ def feasibility_residual(problem: SeparableProblem, a, lam):
     if problem.sense == EQ:
         return _norm(r), 0.0
     primal = _norm(np.minimum(r, 0.0))
-    compl = max(float(abs(lam @ r)), _norm(np.minimum(lam, 0.0)))
+    compl = max(float(abs(lam.dot(r))), _norm(np.minimum(lam, 0.0)))
     return primal, compl
 
 
@@ -493,7 +500,7 @@ def _norm(v):
     # np.linalg.norm's own formula for a real vector, sqrt(v.v), without
     # its dispatch; math.sqrt rounds correctly too, so the two agree bit
     # for bit.
-    return math.sqrt(v @ v)
+    return math.sqrt(v.dot(v))
 
 
 def _block_vectors(problem, x):

@@ -8,7 +8,10 @@ solves anything.  A built-in atom turns it into the normal form
 min 0.5 x'Sx - r'x + tau||x||_1 over X, which a closed form, an exact
 solve or a projected-gradient loop then minimizes.  The route and the
 setup that does not depend on v are fixed once per block by
-:func:`compile_block`.
+:func:`compile_block`.  Every product a solve makes calls ``ndarray.dot``
+on a contiguous operand (A, A', S, the exact route's K), not ``@``: the
+bits are the same, the matmul ufunc's dispatch is not free at small n,
+and ``dot`` would copy a strided operand on every call.
 """
 
 from __future__ import annotations
@@ -145,7 +148,7 @@ def compile_block(block, beta) -> BlockPlan:
     if A.shape[0] == n and np.count_nonzero(A) == np.count_nonzero(A.diagonal()):
         image = adjoint = A.diagonal().copy().__mul__
     else:
-        image, adjoint = A.__matmul__, A.T.__matmul__
+        image, adjoint = A.dot, A.T.dot
     if isinstance(theta, Custom):
 
         def solve_custom(req, inner_tol, x0):
@@ -202,10 +205,13 @@ def compile_block(block, beta) -> BlockPlan:
             sol = np.linalg.solve(S, rhs)
         except np.linalg.LinAlgError:
             raise SingularSystemError("normal matrix H + beta*A'A is singular") from None
-        K, x_c = sol[:, :m], sol[:, m]
+        # contiguous copies, made once rhs is freed: ndarray.dot would
+        # copy the strided view sol[:, :m] on every solve
+        del rhs
+        K, x_c = np.ascontiguousarray(sol[:, :m]), sol[:, m].copy()
 
         def solve_exact(req, inner_tol, x0):
-            x = K @ np.asarray(req.v, dtype=float) + x_c
+            x = K.dot(np.asarray(req.v, dtype=float)) + x_c
             return x, image(x)
 
         return BlockPlan("exact", solve_exact)
@@ -251,7 +257,7 @@ def _prox_step(S, lip, r, tau, project, x):
     x - (S x - r)/lip.  ``lip`` times the distance from x to this step
     is the gradient-map norm, zero exactly at the minimizer."""
     step = 1.0 / lip
-    z = x - step * (S @ x - r)
+    z = x - step * (S.dot(x) - r)
     return project(prox_shrink(z, step * tau) if tau else z)
 
 
@@ -268,13 +274,13 @@ def _active_set_newton(S, lip, r, project, inner_tol, x0):
     """
     n = r.shape[0]
     x = project(np.zeros(n) if x0 is None else np.asarray(x0, dtype=float))
-    active = S @ x - r > lip * x
+    active = S.dot(x) - r > lip * x
     gtol = GAP_FRACTION * inner_tol
     for _ in range(2 * n + 2):
         free = ~active
         y = np.zeros(n)
         y[free] = np.linalg.solve(S[free][:, free], r[free])
-        active = S @ y - r > lip * y
+        active = S.dot(y) - r > lip * y
         x = np.maximum(y, 0.0)
         if lip * _norm(x - _prox_step(S, lip, r, 0.0, project, x)) <= gtol:
             return x

@@ -421,6 +421,17 @@ def test_an_all_zero_h_quadratic_is_valued_as_c_x():
     assert q.value(np.array([np.inf, 0.0, 0.0, 0.0, 0.0])) == np.copysign(np.inf, c[0])
 
 
+def test_a_and_h_are_stored_contiguous_and_a_contiguous_input_is_kept():
+    A, H = np.ones((3, 2)), np.eye(2)
+    assert pc.BlockSpec(theta=pc.Zero(), A=A).A is A
+    assert pc.Quadratic(H, np.zeros(2)).H is H
+    for view in (np.eye(4)[::2, ::2], np.asfortranarray(np.arange(4.0).reshape(2, 2))):
+        stored = pc.Quadratic(view, np.zeros(2)).H
+        assert stored.flags.c_contiguous and np.array_equal(stored, view)
+        stored = pc.BlockSpec(theta=pc.Zero(), A=view).A
+        assert stored.flags.c_contiguous and np.array_equal(stored, view)
+
+
 @pytest.mark.parametrize("entry", [1e-300, np.nan], ids=["one-nonzero", "nan"])
 def test_a_quadratic_with_any_nonzero_h_entry_uses_the_full_form(entry):
     H = np.zeros((3, 3))

@@ -481,6 +481,10 @@ class _CountingMatrix(np.ndarray):
         _CountingMatrix.products += 1
         return np.asarray(self) @ other
 
+    def dot(self, other, out=None):
+        _CountingMatrix.products += 1
+        return np.asarray(self).dot(other, out=out)
+
 
 @pytest.mark.parametrize("name", [*DIAGONAL_AS, *DENSE_AS])
 def test_diagonal_couplings_match_the_dense_products(name):
@@ -507,3 +511,24 @@ def test_diagonal_couplings_match_the_dense_products(name):
             assert np.array_equal(x_counted, x)
             assert (_CountingMatrix.products == 0) == (name in DIAGONAL_AS)
             x0 = x
+
+
+def test_a_strided_coupling_takes_the_route_and_answer_of_its_copy():
+    # BlockSpec stores A C-contiguous, so a view such as A_full[:, ::2]
+    # is copied once, not by every ndarray.dot of every solve
+    rng = np.random.default_rng(5)
+    A = np.linalg.qr(rng.standard_normal((12, 10)))[0][:, ::2]
+    assert not A.flags.c_contiguous
+    beta, inner_tol = 1.3, 1e-11
+    routes = []
+    for route, blk in _coupling_blocks(A):
+        assert blk.A.flags.c_contiguous and np.array_equal(blk.A, A)
+        copy = pc.BlockSpec(theta=blk.theta, set=blk.set, A=A.copy())
+        plans = [pc.compile_block(b, beta) for b in (blk, copy)]
+        assert [plan.route for plan in plans] == [route, route]
+        routes.append(route)
+        for v in rng.standard_normal((3, A.shape[0])):
+            req = SubproblemRequest(theta=blk.theta, set=blk.set, A=blk.A, beta=beta, v=v)
+            (x, a), (x_copy, a_copy) = (plan.solve(req, inner_tol, None) for plan in plans)
+            assert np.array_equal(x, x_copy) and np.array_equal(a, a_copy)
+    assert routes == ["closed", "exact", "pg", "custom"]
