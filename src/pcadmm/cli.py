@@ -182,7 +182,7 @@ def cmd_verify_matrices(args) -> int:
 
 
 def _bench_instances(suite, seed):
-    """(name, problem, reference-or-None) triples for one suite."""
+    """(name, problem, reference) triples for one suite."""
     out = []
     if suite == "eq-qp":
         for i in range(3):
@@ -228,11 +228,9 @@ def cmd_bench(args) -> int:
     all_converged = True
     for name, problem, ref in instances:
         for variant in _VARIANTS:
-            config = SolverConfig(variant=variant, record_xi=ref is not None)
+            config = SolverConfig(variant=variant, record_xi=True)
             result = run(problem, config, reference=ref)
-            violations = []
-            if ref is not None:
-                violations = contraction_check(result.log, problem, config, ref)
+            violations = contraction_check(result.log, problem, config, ref)
             total_violations += len(violations)
             converged = result.reason.kind == CONVERGED
             all_converged &= converged

@@ -133,29 +133,6 @@ def _trusted(cls, **fields):
     return obj
 
 
-class _cached:
-    """An attribute that ``fn`` computes on first use and that is then
-    kept on the instance, for flags too costly to compute at
-    construction.  Unlike ``functools.cached_property`` it stores the
-    value with ``object.__setattr__``, not through ``__dict__``: in
-    CPython 3.11, touching an instance's ``__dict__`` moves it off its
-    inline attribute storage and slows every later attribute load on
-    it, which made each ``Quadratic.value`` call 3-6% slower at n = 10-200."""
-
-    def __init__(self, fn):
-        self.fn, self.__doc__ = fn, fn.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = self.fn(obj)
-        object.__setattr__(obj, self.name, value)
-        return value
-
-
 def _as_aggregates(a, name):
     """The aggregates A_i x_i as one (p, m) array, row i for block i."""
     arr = np.asarray(a, dtype=float)
@@ -171,21 +148,19 @@ def _as_aggregates(a, name):
 
 @dataclass(frozen=True)
 class Quadratic:
-    """theta(x) = 0.5 x'Hx + c'x with H symmetric positive semidefinite."""
+    """theta(x) = 0.5 x'Hx + c'x with H symmetric positive semidefinite.
+    ``linear``, derived from H, is True when every entry of H is zero (a
+    NaN counts as nonzero), so theta(x) = c'x; a nonzero H[0, 0], as in
+    every definite H, decides it without a scan of H."""
 
     H: np.ndarray
     c: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "H", np.asarray(self.H, dtype=float, order="C"))
+        H = np.asarray(self.H, dtype=float, order="C")
+        object.__setattr__(self, "H", H)
         object.__setattr__(self, "c", _as_vector(self.c, "c"))
-
-    @_cached
-    def linear(self):
-        """True when every entry of H is zero (a NaN counts as nonzero),
-        so theta(x) = c'x.  Decided on first use and kept, so building a
-        problem pays for no n^2 scan."""
-        return not self.H.any()
+        object.__setattr__(self, "linear", not (H.size and (H.item(0) or H.any())))
 
     def value(self, x):
         if self.linear:

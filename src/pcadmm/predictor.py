@@ -57,7 +57,7 @@ def _predict(variant, problem, state, beta, inner_tol, warm_start, plans):
     if variant == "dp":
         lam = solve_lambda_subproblem(lam, a.sum(axis=0) - problem.b, beta, problem.sense)
     if plans is None:
-        plans = compile_blocks(problem, beta)
+        plans = (None,) * problem.p
     x_tilde, a_tilde = [], np.empty_like(a)
     drift = np.zeros(problem.m)
     shift = lam / beta
@@ -87,9 +87,9 @@ def predict_pd(
     """Primal-first prediction sweep: blocks 1..p with the incoming
     multiplier, then the multiplier from the predicted aggregates.
     ``plans`` are the blocks' :func:`compile_blocks` plans for this
-    ``beta``; without them the blocks are compiled for this call, so a
-    caller that loops should pass ``plans=compile_blocks(problem, beta)``,
-    built once."""
+    ``beta``; without them :func:`~pcadmm.prox.solve_block_subproblem`
+    compiles each block on each call, so a caller that loops should pass
+    ``plans=compile_blocks(problem, beta)``, built once."""
     return _predict("pd", problem, state, beta, inner_tol, warm_start, plans)
 
 

@@ -114,6 +114,15 @@ def test_factories_reject_sizes_below_one(call, name):
         call()
 
 
+def test_scaling_and_splitting_reject_bad_input():
+    prob = pc.SeparableProblem(blocks=(pc.BlockSpec(theta=pc.Zero(), A=[[2.0, 1.0]]),), b=[0.0])
+    for beta in (0.0, -1.0):
+        with pytest.raises(ValueError, match="^beta must be positive$"):
+            pc.build_p(prob, beta)
+    with pytest.raises(ValueError, match=r"^stacked point has length 2, expected 3$"):
+        pc.split_stacked(prob, np.zeros(2))
+
+
 def test_condition_sweep():
     for variant, p, m, nu in itertools.product(
         ("pd", "dp"), (1, 2, 3, 5), (1, 2, 3), (0.01, 0.25, 0.5, 0.75, 0.99)

@@ -295,6 +295,9 @@ MESSAGES = {
     "unknown-atom": (lambda: _violations(pc.BlockSpec(theta=object(), A=[[1.0]])), "block 0: unknown objective atom object"),
     "unknown-set": (lambda: _violations(pc.BlockSpec(theta=pc.Zero(), set=object(), A=[[1.0]])), "block 0: unknown set object"),
     "zero-columns": (lambda: _violations(pc.BlockSpec(theta=pc.Zero(), A=np.zeros((1, 0)))), "block 0: dimension must be at least 1"),
+    "vector-A": (lambda: _error(pc.BlockSpec, pc.Zero(), pc.Free(), np.ones(2)), "A must be a matrix, got shape (2,)"),
+    "no-blocks": (lambda: _error(pc.SeparableProblem, (), [0.0]), "problem needs at least one block"),
+    "state-vector-a": (lambda: _error(pc.IterateState, np.zeros(2), np.zeros(1)), "a must be a (p, m) array, got shape (2,)"),
     "residual-aggregates": (
         lambda: _error(pc.feasibility_residual, two_block_problem(), np.zeros((1, 1)), np.zeros(1)),
         "aggregates have shape (1, 1), expected (2, 1)",
@@ -367,7 +370,7 @@ def test_solver_config_validation():
         pc.SolverConfig(inner_tol=-1e-10)
     bad = [("tol", math.nan), ("tol", math.inf), ("tol", -math.inf), ("inner_tol", math.inf)]
     bad += [("inner_tol", math.nan), ("beta", math.inf), ("beta", math.nan)]
-    bad += [("max_iters", 2.5), ("max_iters", 10.0), ("max_iters", True)]
+    bad += [("max_iters", 2.5), ("max_iters", 10.0), ("max_iters", True), ("max_iters", 0)]
     for name, value in bad:
         with pytest.raises(ValueError, match=f"^{name} must"):
             pc.SolverConfig(**{name: value})
@@ -432,11 +435,13 @@ def test_a_and_h_are_stored_contiguous_and_a_contiguous_input_is_kept():
         assert stored.flags.c_contiguous and np.array_equal(stored, view)
 
 
-@pytest.mark.parametrize("entry", [1e-300, np.nan], ids=["one-nonzero", "nan"])
-def test_a_quadratic_with_any_nonzero_h_entry_uses_the_full_form(entry):
+# at H[0, 0] the first entry decides `linear`; elsewhere the full scan does
+@pytest.mark.parametrize("entry, k", [(1e-300, 1), (np.nan, 1), (1e-300, 0)], ids=["one-nonzero", "nan", "at-h00"])
+def test_a_quadratic_with_any_nonzero_h_entry_uses_the_full_form(entry, k):
     H = np.zeros((3, 3))
-    H[1, 1] = entry
-    c, x = np.array([0.5, 0.0, 2.0]), np.array([1.0, 1e150, -1.0])
+    H[k, k] = entry
+    c, x = np.array([0.5, 0.5, 2.0]), np.array([1.0, 1.0, -1.0])
+    c[k], x[k] = 0.0, 1e150
     q = pc.Quadratic(H, c)
     assert not q.linear
     with np.errstate(invalid="ignore"):

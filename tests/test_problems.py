@@ -94,6 +94,30 @@ def test_oracles_reject_blocks_outside_their_scope(oracle, sense, theta, set_spe
         oracle(prob)
 
 
+def _nonneg_qp(sense, n=1):
+    # n coupling rows plus n sign rows for the active-set oracle
+    block = pc.BlockSpec(theta=pc.Quadratic(np.eye(n), np.zeros(n)), set=pc.NonNeg(), A=np.eye(n))
+    return pc.SeparableProblem(blocks=(block,), b=np.ones(n), sense=sense)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: pc.kkt_oracle(_nonneg_qp(pc.GE)), "kkt_oracle handles equality constraints only"),
+        (lambda: pc.active_set_oracle(_nonneg_qp(pc.EQ)), "active_set_oracle handles '>=' constraints only"),
+        (lambda: pc.active_set_oracle(_nonneg_qp(pc.GE, n=7)), "too many rows to enumerate (14 > 12)"),
+        (lambda: pc.gen_ineq_qp(2, [3], 2, seed=0), "block_dims must have length p"),
+        (lambda: pc.gen_lasso(4, 10, 0.0, seed=0), "tau must be positive"),
+        (lambda: pc.gen_toy_svm([(np.array([1.0]), 1)]), "need at least 2 points"),
+    ],
+    ids=["kkt-on-ge", "active-set-on-eq", "active-set-rows", "ineq-block-dims", "lasso-tau", "svm-one-point"],
+)
+def test_oracles_and_generators_reject_input_outside_their_scope(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_gen_ineq_qp_kkt_conditions():
     for seed in range(5):
         prob, ref = pc.gen_ineq_qp(2, [4, 4], 2, seed)

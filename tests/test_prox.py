@@ -59,6 +59,8 @@ def test_unknown_atom_or_set_is_a_type_error():
         pc.compile_block(pc.BlockSpec(theta=Strange(), A=np.eye(2)), 1.0)
     with pytest.raises(TypeError, match="unknown set Strange"):
         pc.project_set(np.zeros(2), Strange())
+    with pytest.raises(TypeError, match="unknown set Strange"):
+        pc.compile_block(pc.BlockSpec(theta=pc.Zero(), set=Strange(), A=np.eye(2)), 1.0)
 
 
 @pytest.mark.parametrize("st", [pc.Free(), pc.NonNeg(), pc.Box(lo=-0.3 * np.ones(4), hi=0.2 * np.ones(4))], ids=repr)

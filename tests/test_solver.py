@@ -60,6 +60,11 @@ def test_max_iters_reason():
     assert len(result.log) == 2
 
 
+def test_stop_reason_reads_its_kind_and_any_detail():
+    assert str(pc.StopReason(pc.CONVERGED)) == "converged"
+    assert str(pc.StopReason(pc.MAX_ITERS, "no convergence in 2 iterations")) == "max_iters: no convergence in 2 iterations"
+
+
 def test_subproblem_failure_aborts_with_partial_log():
     prob = pc.SeparableProblem(
         blocks=(pc.BlockSpec(theta=pc.Quadratic(np.zeros((2, 2)), np.zeros(2)), set=pc.Free(), A=[[1.0, 1.0]]),),
