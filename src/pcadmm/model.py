@@ -150,8 +150,7 @@ def _as_aggregates(a, name):
 class Quadratic:
     """theta(x) = 0.5 x'Hx + c'x with H symmetric positive semidefinite.
     ``linear``, derived from H, is True when every entry of H is zero (a
-    NaN counts as nonzero), so theta(x) = c'x; a nonzero H[0, 0], as in
-    every definite H, decides it without a scan of H."""
+    NaN counts as nonzero), so theta(x) = c'x."""
 
     H: np.ndarray
     c: np.ndarray
@@ -160,7 +159,7 @@ class Quadratic:
         H = np.asarray(self.H, dtype=float, order="C")
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "c", _as_vector(self.c, "c"))
-        object.__setattr__(self, "linear", not (H.size and (H.item(0) or H.any())))
+        object.__setattr__(self, "linear", not np.count_nonzero(H))
 
     def value(self, x):
         if self.linear:

@@ -88,7 +88,8 @@ def predict_pd(
     multiplier, then the multiplier from the predicted aggregates.
     ``plans`` are the blocks' :func:`compile_blocks` plans for this
     ``beta``; without them :func:`~pcadmm.prox.solve_block_subproblem`
-    compiles each block on each call, so a caller that loops should pass
+    compiles each block, and re-derives its ``ortho_scaled`` from A, on
+    each call, so a caller that loops should pass
     ``plans=compile_blocks(problem, beta)``, built once."""
     return _predict("pd", problem, state, beta, inner_tol, warm_start, plans)
 

@@ -435,7 +435,6 @@ def test_a_and_h_are_stored_contiguous_and_a_contiguous_input_is_kept():
         assert stored.flags.c_contiguous and np.array_equal(stored, view)
 
 
-# at H[0, 0] the first entry decides `linear`; elsewhere the full scan does
 @pytest.mark.parametrize("entry, k", [(1e-300, 1), (np.nan, 1), (1e-300, 0)], ids=["one-nonzero", "nan", "at-h00"])
 def test_a_quadratic_with_any_nonzero_h_entry_uses_the_full_form(entry, k):
     H = np.zeros((3, 3))
