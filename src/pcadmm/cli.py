@@ -30,10 +30,19 @@ from .solver import CONVERGED, MAX_ITERS, contraction_check, run
 
 __all__ = ["main", "cmd_solve", "cmd_verify_matrices", "cmd_bench"]
 
-DEFAULT_P_LIST = (1, 2, 3, 5)
 DEFAULT_NU_LIST = (0.01, 0.25, 0.5, 0.75, 0.99)
 # The SolverConfig fields that `solve` takes as flags, with their defaults.
 _SOLVE_FIELDS = [f for f in dataclasses.fields(SolverConfig) if f.name != "record_xi"]
+# The bench suites: each maps the seed to its (name, problem, reference) triples.
+_SUITES = {
+    "eq-qp": lambda seed: [(f"eq-qp-p2-{i}", *gen_eq_qp(2, [10, 10], 5, seed + i)) for i in range(3)]
+    + [("eq-qp-p3-0", *gen_eq_qp(3, [8, 8, 8], 5, seed + 100))],
+    "ineq-qp": lambda seed: [(f"ineq-qp-{i}", *gen_ineq_qp(2, [6, 6], 3, seed + i)) for i in range(4)],
+    "lasso": lambda seed: [(f"lasso-{i}", *gen_lasso(20, 40, 0.5, seed + i)) for i in range(3)],
+    "svm": lambda seed: [
+        (f"svm-{i}", problem, active_set_oracle(problem)) for i, problem in enumerate(gen_toy_svm(3, seed=seed + j) for j in range(2))
+    ],
+}
 
 
 class CliError(Exception):
@@ -54,7 +63,7 @@ def _build_parser():
     sub = parser.add_subparsers()
 
     ps = sub.add_parser("solve", help="solve a problem from a JSON file")
-    ps.add_argument("--problem", help="path to the problem JSON file")
+    ps.add_argument("--problem", required=True, help="path to the problem JSON file")
     for f in _SOLVE_FIELDS:
         extra = {"choices": _VARIANTS} if f.name == "variant" else {}
         ps.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default, **extra)
@@ -64,13 +73,13 @@ def _build_parser():
     ps.set_defaults(func=cmd_solve)
 
     pv = sub.add_parser("verify-matrices", help="check the convergence conditions")
-    pv.add_argument("--p-max", type=int, default=5)
+    pv.add_argument("--p-max", type=int, default=5, help="check p = 1..P_MAX")
     pv.add_argument("--m-max", type=int, default=2)
     pv.add_argument("--nu-list", default=",".join(str(v) for v in DEFAULT_NU_LIST))
     pv.set_defaults(func=cmd_verify_matrices)
 
     pb = sub.add_parser("bench", help="run a benchmark suite")
-    pb.add_argument("--suite", choices=["eq-qp", "ineq-qp", "lasso", "svm"])
+    pb.add_argument("--suite", required=True, choices=_SUITES)
     pb.add_argument("--seed", type=int, default=0)
     pb.add_argument("--log-dir", help="write one CSV log per run into this directory")
     pb.add_argument("--dump", help="write the generated problems as JSON into this directory")
@@ -116,8 +125,6 @@ def _check_writable(path):
 
 
 def cmd_solve(args) -> int:
-    if not args.problem:
-        raise CliError("missing --problem\nusage: pcadmm solve --problem FILE [options]")
     try:
         problem = problem_from_json(_load_json(args.problem, "problem"))
         config = SolverConfig(**{f.name: getattr(args, f.name) for f in _SOLVE_FIELDS})
@@ -159,7 +166,7 @@ def cmd_verify_matrices(args) -> int:
     outside = [nu for nu in nus if not 0.0 < nu < 1.0]
     if outside:
         raise CliError(f"--nu-list values must lie in (0,1), got {outside[0]!r}")
-    p_list = [p for p in DEFAULT_P_LIST if p <= args.p_max]
+    p_list = list(range(1, args.p_max + 1))
     m_list = list(range(1, args.m_max + 1))
     if not (nus and p_list and m_list):
         raise CliError(f"the grid has no cases: --p-max {args.p_max}, --m-max {args.m_max}, --nu-list {args.nu_list!r}")
@@ -181,37 +188,9 @@ def cmd_verify_matrices(args) -> int:
     return 0 if all_pass else 1
 
 
-def _bench_instances(suite, seed):
-    """(name, problem, reference) triples for one suite."""
-    out = []
-    if suite == "eq-qp":
-        for i in range(3):
-            problem, ref = gen_eq_qp(2, [10, 10], 5, seed + i)
-            out.append((f"eq-qp-p2-{i}", problem, ref))
-        problem, ref = gen_eq_qp(3, [8, 8, 8], 5, seed + 100)
-        out.append(("eq-qp-p3-0", problem, ref))
-    elif suite == "ineq-qp":
-        for i in range(4):
-            problem, ref = gen_ineq_qp(2, [6, 6], 3, seed + i)
-            out.append((f"ineq-qp-{i}", problem, ref))
-    elif suite == "lasso":
-        for i in range(3):
-            problem, ref = gen_lasso(20, 40, 0.5, seed + i)
-            out.append((f"lasso-{i}", problem, ref))
-    elif suite == "svm":
-        for i in range(2):
-            problem = gen_toy_svm(3, seed=seed + i)
-            out.append((f"svm-{i}", problem, active_set_oracle(problem)))
-    else:
-        raise CliError(f"unknown suite {suite!r}")
-    return out
-
-
 def cmd_bench(args) -> int:
-    if not args.suite:
-        raise CliError("missing --suite\nusage: pcadmm bench --suite NAME [--seed N]")
     try:
-        instances = _bench_instances(args.suite, args.seed)
+        instances = _SUITES[args.suite](args.seed)
     except (ValueError, RuntimeError) as e:
         raise CliError(f"could not generate suite {args.suite!r}: {e}")
     if args.dump:

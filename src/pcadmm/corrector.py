@@ -22,10 +22,10 @@ __all__ = ["correct_pd", "correct_dp"]
 
 @lru_cache(maxsize=64)
 def _template(variant, p, nu, beta):
-    """D^-1 T D with D = diag(sqrt(beta) 1_p, 1/sqrt(beta)); read-only, as it is shared."""
+    """D^-1 T D with D = diag(sqrt(beta) 1_p, 1/sqrt(beta)); read-only, as it is shared.
+    Only T[p, :p] scales: T[:p, p] is zero in both variants."""
     T = build_m(variant, p, 1, nu)
     T[p, :p] *= beta
-    T[:p, p] /= beta
     T.flags.writeable = False
     return T
 

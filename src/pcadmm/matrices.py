@@ -193,12 +193,14 @@ def verify_framework(variant: str, p: int, m: int, nu: float) -> FrameworkReport
     g_err = float(np.max(np.abs(qtq - M.T @ HM - G)))
     if g_err > HMQ_TOL:
         raise ClosedFormMismatchError(f"G mismatch {g_err:.3e} for variant={variant}, p={p}, m={m}, nu={nu}")
+    # H and G are krons of symmetric templates and Q' + Q is a sum with
+    # its transpose, so each is exactly symmetric as eigvalsh reads it.
     return FrameworkReport(
         variant, p, m, nu,
         hm_eq_q_maxerr=float(np.max(np.abs(HM - Q))),
-        h_min_eig=float(np.linalg.eigvalsh((H + H.T) / 2.0)[0]),
-        g_min_eig=float(np.linalg.eigvalsh((G + G.T) / 2.0)[0]),
-        qtq_min_eig=float(np.linalg.eigvalsh((qtq + qtq.T) / 2.0)[0]),
+        h_min_eig=float(np.linalg.eigvalsh(H)[0]),
+        g_min_eig=float(np.linalg.eigvalsh(G)[0]),
+        qtq_min_eig=float(np.linalg.eigvalsh(qtq)[0]),
     )
 
 

@@ -70,6 +70,8 @@ _SENSES = (EQ, GE)
 # last, "dp" the multiplier first.
 _VARIANTS = ("pd", "dp")
 
+# A quadratic H is symmetric when max|H - H'| is at most _SYM_TOL, in
+# absolute terms or relative to max|H| (roundoff grows with the scale).
 _SYM_TOL = 1e-12
 
 
@@ -399,7 +401,7 @@ def validate_problem(problem: SeparableProblem) -> list:
                 out.append(f"block {i}: quadratic H has shape {th.H.shape}, expected {(blk.n, blk.n)}")
             elif not _finite(th.H):
                 out.append(f"block {i}: quadratic H has non-finite entries")
-            elif abs(th.H - th.H.T).max() > _SYM_TOL:
+            elif (asym := abs(th.H - th.H.T).max()) > _SYM_TOL and asym > _SYM_TOL * abs(th.H).max():
                 out.append(f"block {i}: quadratic H is not symmetric")
             if th.c.shape != (blk.n,):
                 out.append(f"block {i}: quadratic c has length {th.c.size}, expected {blk.n}")

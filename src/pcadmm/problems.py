@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import split_stacked
 from .model import (
     EQ,
     GE,
@@ -103,7 +102,7 @@ def _full_qp_data(problem, sets):
 
 
 def _reference_from_primal(problem, x, lam):
-    x_blocks, lam = split_stacked(problem, np.concatenate([x, lam]))
+    x_blocks = np.split(x, np.cumsum([blk.n for blk in problem.blocks])[:-1])
     a = tuple(blk.A @ xi for blk, xi in zip(problem.blocks, x_blocks))
     return ReferenceSolution(x=tuple(x_blocks), a=a, lam=lam, objective=objective_value(problem, x_blocks))
 

@@ -120,7 +120,8 @@ def compile_block(block, beta) -> BlockPlan:
       (``Quadratic.linear``), so S = L*I, route ``closed``: x is the
       single prox step ``project_set(prox_shrink(r/L, tau/L), set)``;
     * quadratic atom, free set, route ``exact``: S is checked positive
-      definite (else :class:`SingularSystemError`) and factored once
+      definite (else :class:`NonConvexError` by the pg route's test
+      below, or :class:`SingularSystemError`) and factored once
       into K = S^-1 beta A' and x_c = -S^-1 c, so x = K v + x_c;
     * anything else, route ``pg``: the spectrum w of S is computed once;
       an eigenvalue below -delta*max|w| (delta = 1e-12*n) raises
@@ -204,6 +205,7 @@ def compile_block(block, beta) -> BlockPlan:
             np.negative(c, out=rhs[:, m])
             sol = np.linalg.solve(S, rhs)
         except np.linalg.LinAlgError:
+            _spectrum(S, n)  # an indefinite S is not convex, as on the pg route
             raise SingularSystemError("normal matrix H + beta*A'A is singular") from None
         # contiguous copies, made once rhs is freed: ndarray.dot would
         # copy the strided view sol[:, :m] on every solve
@@ -216,10 +218,7 @@ def compile_block(block, beta) -> BlockPlan:
 
         return BlockPlan("exact", solve_exact)
 
-    w = np.linalg.eigvalsh(S)
-    delta = 1e-12 * n  # relative eigenvalue tolerance
-    if w[0] < -delta * max(-w[0], w[-1]):
-        raise NonConvexError(f"normal matrix H + beta*A'A is not convex: smallest eigenvalue {w[0]:.3g}")
+    w, delta = _spectrum(S, n)
     lip = float(w[-1])
     newton = isinstance(set_spec, NonNeg) and w[0] > delta * lip
 
@@ -236,6 +235,16 @@ def compile_block(block, beta) -> BlockPlan:
         return x, image(x)
 
     return BlockPlan("pg", solve_pg)
+
+
+def _spectrum(S, n):
+    """The eigenvalues w of S and the relative tolerance delta; raises
+    :class:`NonConvexError` when w[0] < -delta*max|w|."""
+    w = np.linalg.eigvalsh(S)
+    delta = 1e-12 * n
+    if w[0] < -delta * max(-w[0], w[-1]):
+        raise NonConvexError(f"normal matrix H + beta*A'A is not convex: smallest eigenvalue {w[0]:.3g}")
+    return w, delta
 
 
 def solve_block_subproblem(req: SubproblemRequest, inner_tol: float, x0=None):

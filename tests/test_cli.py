@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import pcadmm as pc
+from pcadmm import cli
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -152,9 +154,17 @@ def test_verify_matrices_default_sweep():
     assert proc.returncode == 0
     lines = [ln for ln in proc.stdout.splitlines() if ln.strip()]
     data_rows = lines[1:]
-    # both variants, p in {1,2,3,5}, m in {1,2}, five nu values
-    assert len(data_rows) == 80
+    # both variants, p = 1..5, m in {1,2}, five nu values
+    assert len(data_rows) == 100
     assert all("PASS" in row for row in data_rows)
+
+
+def test_verify_matrices_checks_every_p_up_to_p_max():
+    proc = run_cli("verify-matrices", "--p-max", "8")
+    assert proc.returncode == 0
+    data_rows = [ln for ln in proc.stdout.splitlines()[1:] if ln.strip()]
+    assert len(data_rows) == 160 and all("PASS" in row for row in data_rows)
+    assert sorted({int(row.split()[1]) for row in data_rows}) == list(range(1, 9))
 
 
 def test_verify_matrices_filtered_sweep():
@@ -204,8 +214,17 @@ def test_bench_reports_first_violation(monkeypatch, capsys):
 
 
 def test_bench_unknown_suite():
-    proc = run_cli("bench", "--suite", "nope")
-    assert proc.returncode == 1
+    # an unknown and a missing --suite both end in argparse's message and usage line
+    for args, message in ((["--suite", "nope"], "invalid choice: 'nope'"), ([], "required: --suite")):
+        proc = run_cli("bench", *args)
+        assert proc.returncode == 1
+        assert message in proc.stderr and "usage: pcadmm bench" in proc.stderr and proc.stdout == ""
+
+
+def test_bench_suite_choices_are_the_suite_table():
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in sub.choices["bench"]._actions if a.dest == "suite")
+    assert list(suite.choices) == list(cli._SUITES) == ["eq-qp", "ineq-qp", "lasso", "svm"]
 
 
 def test_bench_deterministic_csv(tmp_path):

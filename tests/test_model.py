@@ -220,6 +220,23 @@ def test_validate_asymmetric_quadratic():
     assert any("symmetric" in v for v in pc.validate_problem(prob))
 
 
+@pytest.mark.parametrize("scale", [1e4, 1e6])
+def test_validate_accepts_a_scaled_symmetric_quadratic(scale):
+    # roundoff in a scaled H leaves max|H - H'| above 1e-12, which is
+    # tiny against max|H|; a relative asymmetry is still rejected
+    problem, _ = pc.gen_eq_qp(2, [50, 50], 10, 0)
+    blocks = tuple(pc.BlockSpec(theta=pc.Quadratic(scale * blk.theta.H, scale * blk.theta.c), A=blk.A) for blk in problem.blocks)
+    assert max(abs(blk.theta.H - blk.theta.H.T).max() for blk in blocks) > 1e-12
+    scaled = pc.SeparableProblem(blocks=blocks, b=problem.b)
+    assert pc.validate_problem(scaled) == []
+    result = pc.run(scaled, pc.SolverConfig(beta=scale))
+    assert result.reason.kind == pc.CONVERGED
+    assert result.log.objective[-1] == pytest.approx(pc.kkt_oracle(scaled).objective, rel=1e-6)
+    skew = pc.Quadratic(scale * np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
+    prob = pc.SeparableProblem(blocks=(pc.BlockSpec(theta=skew, A=np.ones((1, 2))),), b=np.zeros(1))
+    assert any("symmetric" in v for v in pc.validate_problem(prob))
+
+
 def test_lagrangian_hand_value():
     # p=1, theta = x^2/2, A = [1], b = [1]: L(2, 3) = 2 - 3*(2 - 1) = -1
     prob = pc.SeparableProblem(
@@ -378,13 +395,13 @@ def test_solver_config_validation():
 
 
 def test_solve_flag_defaults_are_the_solver_config_defaults():
-    args = cli._build_parser().parse_args(["solve"])
+    args = cli._build_parser().parse_args(["solve", "--problem", "p.json"])
     defaults = {f.name: f.default for f in dataclasses.fields(pc.SolverConfig) if f.name != "record_xi"}
     assert set(defaults) == {"variant", "beta", "nu", "max_iters", "tol", "inner_tol"}
     for name, value in defaults.items():
         assert getattr(args, name) == value and type(getattr(args, name)) is type(value), name
     assert pc.SolverConfig(**{name: getattr(args, name) for name in defaults}) == pc.SolverConfig()
-    assert cli._build_parser().parse_args(["solve", "--max-iters", "7"]).max_iters == 7
+    assert cli._build_parser().parse_args(["solve", "--problem", "p.json", "--max-iters", "7"]).max_iters == 7
 
 
 # Every atom at x = (1, -2) and every set's projection of v = (-1.5, 0.5, 3), by hand.

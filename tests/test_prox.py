@@ -414,6 +414,13 @@ def test_singular_exact_block_fails_when_compiled():
         pc.compile_block(pc.BlockSpec(theta=pc.Quadratic(np.zeros((2, 2)), np.zeros(2)), A=np.array([[1.0, 1.0]])), 1.0)
 
 
+@pytest.mark.parametrize("st", [pc.Free(), pc.NonNeg()], ids=["free", "nonneg"])
+def test_an_indefinite_normal_matrix_is_not_convex_on_every_route(st):
+    # S = -5I + I'I = -4I, on which the exact route's Cholesky fails too
+    with pytest.raises(pc.NonConvexError, match="not convex: smallest eigenvalue -4$"):
+        pc.compile_block(pc.BlockSpec(theta=pc.Quadratic(-5.0 * np.eye(2), np.zeros(2)), set=st, A=np.eye(2)), 1.0)
+
+
 # Square diagonal couplings, which compile_block applies elementwise, and
 # two near misses that must keep the dense products
 DIAGONAL_AS = {
