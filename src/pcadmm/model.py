@@ -401,7 +401,7 @@ def validate_problem(problem: SeparableProblem) -> list:
                 out.append(f"block {i}: quadratic H has shape {th.H.shape}, expected {(blk.n, blk.n)}")
             elif not _finite(th.H):
                 out.append(f"block {i}: quadratic H has non-finite entries")
-            elif (asym := abs(th.H - th.H.T).max()) > _SYM_TOL and asym > _SYM_TOL * abs(th.H).max():
+            elif (asym := abs(th.H - th.H.T).max(initial=0.0)) > _SYM_TOL and asym > _SYM_TOL * abs(th.H).max():
                 out.append(f"block {i}: quadratic H is not symmetric")
             if th.c.shape != (blk.n,):
                 out.append(f"block {i}: quadratic c has length {th.c.size}, expected {blk.n}")

@@ -2,10 +2,10 @@
 
 Each generator returns a reproducible random instance together with a
 reference solution computed by a code path that never touches the
-predictor or corrector: a direct dense KKT solve for equality
-constraints, exhaustive active-set enumeration for inequalities, and a
-proximal-gradient loop for the l1 benchmark.  Random data uses a seeded
-generator with a fixed recipe (quadratic spectra in [1, 10],
+predictor or corrector: one active-set oracle for quadratic problems of
+either sense (dense KKT solves, enumerating only the inequality rows),
+and a proximal-gradient loop for the l1 benchmark.  Random data uses a
+seeded generator with a fixed recipe (quadratic spectra in [1, 10],
 unit-normal linear terms and right-hand sides), so instances are
 bit-reproducible given the seed.
 """
@@ -35,7 +35,6 @@ __all__ = [
     "gen_ineq_qp",
     "gen_lasso",
     "gen_toy_svm",
-    "kkt_oracle",
     "active_set_oracle",
 ]
 
@@ -82,12 +81,11 @@ def _quadratic_blocks(rng, block_dims, m):
     return blocks
 
 
-def _full_qp_data(problem, sets):
-    """Stacked H, c and A; every block must be Quadratic on one of ``sets``."""
+def _full_qp_data(problem):
+    """Stacked H, c and A; every block must be Quadratic on Free or NonNeg."""
     for i, blk in enumerate(problem.blocks):
-        if not (isinstance(blk.theta, Quadratic) and isinstance(blk.set, sets)):
-            scope = f"Quadratic on {'/'.join(s.__name__ for s in sets)}"
-            raise ValueError(f"block {i} is {type(blk.theta).__name__} on {type(blk.set).__name__}, outside the oracle's {scope}")
+        if not (isinstance(blk.theta, Quadratic) and isinstance(blk.set, (Free, NonNeg))):
+            raise ValueError(f"block {i} is {type(blk.theta).__name__} on {type(blk.set).__name__}, outside the oracle's Quadratic on Free/NonNeg")
     H = [blk.theta.H for blk in problem.blocks]
     n_total = sum(blk.n for blk in problem.blocks)
     Hfull = np.zeros((n_total, n_total))
@@ -107,57 +105,33 @@ def _reference_from_primal(problem, x, lam):
     return ReferenceSolution(x=tuple(x_blocks), a=a, lam=lam, objective=objective_value(problem, x_blocks))
 
 
-def kkt_oracle(problem: SeparableProblem) -> ReferenceSolution:
-    """Direct dense KKT solve for equality-constrained quadratic
-    problems with free blocks: [blkdiag(H_i), -A'; A, 0](x, lam) = (-c, b)."""
-    if problem.sense != EQ:
-        raise ValueError("kkt_oracle handles equality constraints only")
-    Hfull, c, A = _full_qp_data(problem, (Free,))
-    n, m = Hfull.shape[0], problem.m
-    K = np.block([[Hfull, -A.T], [A, np.zeros((m, m))]])
-    rhs = np.concatenate([-c, problem.b])
-    sol = np.linalg.solve(K, rhs)
-    resid = float(np.linalg.norm(K @ sol - rhs))
-    if not np.isfinite(resid) or resid > 1e-8 * (1.0 + float(np.linalg.norm(rhs))):
-        raise np.linalg.LinAlgError("KKT system is numerically singular")
-    return _reference_from_primal(problem, sol[:n], sol[n:])
-
-
 def active_set_oracle(problem: SeparableProblem) -> ReferenceSolution:
-    """Brute-force oracle for inequality-constrained quadratic problems.
+    """Brute-force oracle for quadratic problems of either sense.
 
-    Treats the m coupling rows plus one row per nonnegative coordinate
-    as a single inequality system, enumerates every active subset,
-    solves the equality-reduced KKT system for each, and keeps the
-    candidates whose multipliers are nonnegative on active rows and
-    whose inactive rows are feasible.  The best (lowest objective)
-    survivor is returned with the multipliers of the coupling rows
-    only; set-constraint multipliers stay internal.
+    The rows are the m coupling rows plus one row per nonnegative
+    coordinate.  On an ``eq`` problem the coupling rows are always
+    active; every other row is an inequality.  The oracle enumerates
+    every active subset of the inequality rows, solves the
+    equality-reduced KKT system for each, and keeps the candidates whose
+    multipliers are nonnegative on active inequality rows and whose
+    inactive rows are feasible.  The best (lowest objective) survivor is
+    returned with the multipliers of the coupling rows only;
+    set-constraint multipliers stay internal.  An ``eq`` problem on free
+    blocks has nothing to enumerate: it is one direct KKT solve.
     """
-    if problem.sense != GE:
-        raise ValueError("active_set_oracle handles '>=' constraints only")
-    Hfull, c, A = _full_qp_data(problem, (Free, NonNeg))
+    Hfull, c, A = _full_qp_data(problem)
     n, m = Hfull.shape[0], problem.m
-
-    rows = [A]
-    rhs = [problem.b]
-    pos = 0
-    for blk in problem.blocks:
-        if isinstance(blk.set, NonNeg):
-            sel = np.zeros((blk.n, n))
-            sel[:, pos : pos + blk.n] = np.eye(blk.n)
-            rows.append(sel)
-            rhs.append(np.zeros(blk.n))
-        pos += blk.n
-    R = np.vstack(rows)
-    r = np.concatenate(rhs)
-    total = R.shape[0]
+    n_eq = m if problem.sense == EQ else 0
+    nonneg = np.concatenate([np.full(blk.n, isinstance(blk.set, NonNeg)) for blk in problem.blocks])
+    R = np.vstack([A, np.eye(n)[nonneg]])
+    r = np.concatenate([problem.b, np.zeros(R.shape[0] - m)])
+    total = R.shape[0] - n_eq
     if total > MAX_ACTIVE_SET_ROWS:
         raise ValueError(f"too many rows to enumerate ({total} > {MAX_ACTIVE_SET_ROWS})")
 
     best = None
     for mask in range(2**total):
-        active = [i for i in range(total) if mask >> i & 1]
+        active = list(range(n_eq)) + [n_eq + i for i in range(total) if mask >> i & 1]
         k = len(active)
         Ra = R[active]
         K = np.block([[Hfull, -Ra.T], [Ra, np.zeros((k, k))]])
@@ -171,14 +145,15 @@ def active_set_oracle(problem: SeparableProblem) -> ReferenceSolution:
         if float(np.linalg.norm(K @ sol - rhs_k)) > ACTIVE_SET_TOL * (1.0 + float(np.linalg.norm(rhs_k))):
             continue
         x, mu_active = sol[:n], sol[n:]
-        if k and np.min(mu_active) < -ACTIVE_SET_TOL:
+        if np.min(mu_active[n_eq:], initial=0.0) < -ACTIVE_SET_TOL:
             continue
-        if np.min(R @ x - r) < -ACTIVE_SET_TOL:
+        if np.min(R[n_eq:] @ x - r[n_eq:], initial=0.0) < -ACTIVE_SET_TOL:
             continue
         obj = 0.5 * x @ Hfull @ x + c @ x
         if best is None or obj < best[0] - 1e-12:
-            mu = np.zeros(total)
-            mu[active] = np.maximum(mu_active, 0.0)
+            mu = np.zeros(R.shape[0])
+            mu[active] = mu_active
+            mu[n_eq:] = np.maximum(mu[n_eq:], 0.0)
             best = (obj, x, mu)
     if best is None:
         raise ValueError("no valid active set: instance is infeasible or degenerate")
@@ -186,26 +161,32 @@ def active_set_oracle(problem: SeparableProblem) -> ReferenceSolution:
     return _reference_from_primal(problem, x, mu[:m])
 
 
-def gen_eq_qp(p, block_dims, m, seed):
-    """Random equality-constrained QP with a direct KKT reference.
+def _draw_qp(block_dims, m, sense, seed_words):
+    """The first of 20 seeded draws whose oracle accepts it."""
+    for attempt in range(20):
+        rng = np.random.default_rng(np.random.SeedSequence([*seed_words, attempt]))
+        blocks = _quadratic_blocks(rng, block_dims, m)
+        problem = SeparableProblem(blocks=tuple(blocks), b=rng.standard_normal(m), sense=sense)
+        try:
+            return problem, active_set_oracle(problem)
+        except ValueError:
+            continue
+    raise RuntimeError("could not draw a solvable instance")
 
-    Blocks are strictly convex quadratics over free sets.  Requires
-    sum(block_dims) >= m so the constraints can be satisfied.
+
+def gen_eq_qp(p, block_dims, m, seed):
+    """Random equality-constrained QP with an oracle reference.
+
+    Blocks are strictly convex quadratics over free sets, so the
+    reference is one direct KKT solve.  Requires sum(block_dims) >= m so
+    the constraints can be satisfied.
     """
     block_dims = list(block_dims)
     if len(block_dims) != p:
         raise ValueError("block_dims must have length p")
     if sum(block_dims) < m:
         raise ValueError("total dimension must be at least m")
-    for attempt in range(20):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))
-        blocks = _quadratic_blocks(rng, block_dims, m)
-        problem = SeparableProblem(blocks=tuple(blocks), b=rng.standard_normal(m), sense=EQ)
-        try:
-            return problem, kkt_oracle(problem)
-        except np.linalg.LinAlgError:
-            continue
-    raise RuntimeError("could not draw a nonsingular instance")
+    return _draw_qp(block_dims, m, EQ, [seed])
 
 
 def gen_ineq_qp(p, block_dims, m, seed):
@@ -218,15 +199,7 @@ def gen_ineq_qp(p, block_dims, m, seed):
     block_dims = list(block_dims)
     if len(block_dims) != p:
         raise ValueError("block_dims must have length p")
-    for attempt in range(20):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 7, attempt]))
-        blocks = _quadratic_blocks(rng, block_dims, m)
-        problem = SeparableProblem(blocks=tuple(blocks), b=rng.standard_normal(m), sense=GE)
-        try:
-            return problem, active_set_oracle(problem)
-        except (np.linalg.LinAlgError, ValueError):
-            continue
-    raise RuntimeError("could not draw a solvable instance")
+    return _draw_qp(block_dims, m, GE, [seed, 7])
 
 
 def gen_lasso(n, samples, tau, seed, data=None):
@@ -271,13 +244,7 @@ def gen_lasso(n, samples, tau, seed, data=None):
             break
         x = x_next
     lam = H @ x + c  # = D'(Dx - d), the multiplier of x - y = 0
-    ref = ReferenceSolution(
-        x=(x, x.copy()),
-        a=(x.copy(), -x),
-        lam=lam,
-        objective=objective_value(problem, (x, x)),
-    )
-    return problem, ref
+    return problem, _reference_from_primal(problem, np.concatenate([x, x]), lam)
 
 
 def gen_toy_svm(points, seed=0):

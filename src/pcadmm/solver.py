@@ -221,11 +221,10 @@ def run(
         for k in iterations:
             xi_k = xi_from_aggregates(state.a, state.lam, beta)
             try:
-                new_pred = predict(problem, state, beta, config.inner_tol, warm_start=warm, plans=plans)
+                pred = predict(problem, state, beta, config.inner_tol, warm_start=warm, plans=plans)
             except SubproblemError as e:
                 reason = StopReason(SUBPROBLEM_FAILURE, str(e))
                 break
-            pred = new_pred
             warm = pred.x_tilde
             xi_t = xi_from_aggregates(pred.a_tilde, pred.lambda_tilde, beta)
 

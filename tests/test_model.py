@@ -231,7 +231,7 @@ def test_validate_accepts_a_scaled_symmetric_quadratic(scale):
     assert pc.validate_problem(scaled) == []
     result = pc.run(scaled, pc.SolverConfig(beta=scale))
     assert result.reason.kind == pc.CONVERGED
-    assert result.log.objective[-1] == pytest.approx(pc.kkt_oracle(scaled).objective, rel=1e-6)
+    assert result.log.objective[-1] == pytest.approx(pc.active_set_oracle(scaled).objective, rel=1e-6)
     skew = pc.Quadratic(scale * np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
     prob = pc.SeparableProblem(blocks=(pc.BlockSpec(theta=skew, A=np.ones((1, 2))),), b=np.zeros(1))
     assert any("symmetric" in v for v in pc.validate_problem(prob))
@@ -312,6 +312,10 @@ MESSAGES = {
     "unknown-atom": (lambda: _violations(pc.BlockSpec(theta=object(), A=[[1.0]])), "block 0: unknown objective atom object"),
     "unknown-set": (lambda: _violations(pc.BlockSpec(theta=pc.Zero(), set=object(), A=[[1.0]])), "block 0: unknown set object"),
     "zero-columns": (lambda: _violations(pc.BlockSpec(theta=pc.Zero(), A=np.zeros((1, 0)))), "block 0: dimension must be at least 1"),
+    "zero-columns-quadratic": (
+        lambda: _violations(pc.BlockSpec(theta=pc.Quadratic(np.zeros((0, 0)), np.zeros(0)), A=np.zeros((1, 0)))),
+        "block 0: dimension must be at least 1",
+    ),
     "vector-A": (lambda: _error(pc.BlockSpec, pc.Zero(), pc.Free(), np.ones(2)), "A must be a matrix, got shape (2,)"),
     "no-blocks": (lambda: _error(pc.SeparableProblem, (), [0.0]), "problem needs at least one block"),
     "state-vector-a": (lambda: _error(pc.IterateState, np.zeros(2), np.zeros(1)), "a must be a (p, m) array, got shape (2,)"),

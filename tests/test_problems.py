@@ -4,16 +4,38 @@ import pytest
 import pcadmm as pc
 
 
-def test_kkt_oracle_hand_instance():
+def test_active_set_oracle_eq_hand_instance():
     # min x^2/2 s.t. x = 1  ->  x* = 1, lam* = 1
     prob = pc.SeparableProblem(
         blocks=(pc.BlockSpec(theta=pc.Quadratic([[1.0]], [0.0]), set=pc.Free(), A=[[1.0]]),),
         b=[1.0],
     )
-    ref = pc.kkt_oracle(prob)
+    ref = pc.active_set_oracle(prob)
     np.testing.assert_allclose(ref.x[0], [1.0])
     np.testing.assert_allclose(ref.lam, [1.0])
     assert ref.objective == pytest.approx(0.5)
+
+
+def test_active_set_oracle_eq_with_an_active_bound():
+    # min x^2/2 + y^2/2 + 2y s.t. x + y = 1, y >= 0.  Without the bound
+    # y* = -1/2; with it y* = 0, x* = 1, lam* = 1 (the bound's own
+    # multiplier is 2 - lam* = 1 >= 0), objective 1/2
+    prob = pc.SeparableProblem(
+        blocks=(
+            pc.BlockSpec(theta=pc.Quadratic([[1.0]], [0.0]), set=pc.Free(), A=[[1.0]]),
+            pc.BlockSpec(theta=pc.Quadratic([[1.0]], [2.0]), set=pc.NonNeg(), A=[[1.0]]),
+        ),
+        b=[1.0],
+    )
+    ref = pc.active_set_oracle(prob)
+    np.testing.assert_allclose(ref.x[0], [1.0])
+    np.testing.assert_allclose(ref.x[1], [0.0], atol=1e-12)
+    np.testing.assert_allclose(ref.lam, [1.0])
+    assert ref.objective == pytest.approx(0.5)
+    for variant in ("pd", "dp"):
+        result = pc.run(prob, pc.SolverConfig(variant=variant))
+        assert result.reason.kind == pc.CONVERGED
+        assert result.log.objective[-1] == pytest.approx(ref.objective, rel=1e-6)
 
 
 def test_gen_eq_qp_kkt_residual():
@@ -70,18 +92,16 @@ def test_active_set_oracle_inactive_constraint():
 
 
 @pytest.mark.parametrize(
-    "oracle, sense, theta, set_spec",
+    "sense, theta, set_spec",
     [
-        (pc.kkt_oracle, pc.EQ, pc.Quadratic(np.eye(2), [1.0, 1.0]), pc.NonNeg()),
-        (pc.kkt_oracle, pc.EQ, pc.WeightedL1(0.5), pc.Free()),
-        (pc.active_set_oracle, pc.GE, pc.WeightedL1(0.5), pc.Free()),
-        (pc.active_set_oracle, pc.GE, pc.Quadratic(np.eye(2), [1.0, 1.0]), pc.Box([0.0, 0.0], [1.0, 1.0])),
+        (pc.EQ, pc.WeightedL1(0.5), pc.Free()),
+        (pc.GE, pc.WeightedL1(0.5), pc.Free()),
+        (pc.GE, pc.Quadratic(np.eye(2), [1.0, 1.0]), pc.Box([0.0, 0.0], [1.0, 1.0])),
     ],
-    ids=["kkt-nonneg", "kkt-l1", "active-set-l1", "active-set-box"],
+    ids=["kkt-l1", "active-set-l1", "active-set-box"],
 )
-def test_oracles_reject_blocks_outside_their_scope(oracle, sense, theta, set_spec):
-    # kkt_oracle used to ignore a NonNeg set and return a point outside
-    # it, and an l1 atom used to raise AttributeError
+def test_oracles_reject_blocks_outside_their_scope(sense, theta, set_spec):
+    # an l1 atom used to raise AttributeError
     prob = pc.SeparableProblem(
         blocks=(
             pc.BlockSpec(theta=pc.Quadratic([[1.0]], [0.0]), set=pc.Free(), A=[[1.0]]),
@@ -90,27 +110,34 @@ def test_oracles_reject_blocks_outside_their_scope(oracle, sense, theta, set_spe
         b=[-2.0],
         sense=sense,
     )
-    with pytest.raises(ValueError, match=r"^block 1 is \w+ on \w+, outside the oracle's Quadratic on"):
-        oracle(prob)
+    with pytest.raises(ValueError, match=r"^block 1 is \w+ on \w+, outside the oracle's Quadratic on Free/NonNeg$"):
+        pc.active_set_oracle(prob)
 
 
 def _nonneg_qp(sense, n=1):
-    # n coupling rows plus n sign rows for the active-set oracle
+    # n coupling rows plus n sign rows; the oracle enumerates the sign
+    # rows, and the coupling rows too on ``ge``
     block = pc.BlockSpec(theta=pc.Quadratic(np.eye(n), np.zeros(n)), set=pc.NonNeg(), A=np.eye(n))
     return pc.SeparableProblem(blocks=(block,), b=np.ones(n), sense=sense)
+
+
+def _inconsistent_eq_qp():
+    # x = 1 and x = 2: the one KKT system is singular
+    block = pc.BlockSpec(theta=pc.Quadratic([[1.0]], [0.0]), set=pc.Free(), A=[[1.0], [1.0]])
+    return pc.SeparableProblem(blocks=(block,), b=[1.0, 2.0])
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: pc.kkt_oracle(_nonneg_qp(pc.GE)), "kkt_oracle handles equality constraints only"),
-        (lambda: pc.active_set_oracle(_nonneg_qp(pc.EQ)), "active_set_oracle handles '>=' constraints only"),
         (lambda: pc.active_set_oracle(_nonneg_qp(pc.GE, n=7)), "too many rows to enumerate (14 > 12)"),
+        (lambda: pc.active_set_oracle(_nonneg_qp(pc.EQ, n=13)), "too many rows to enumerate (13 > 12)"),
+        (lambda: pc.active_set_oracle(_inconsistent_eq_qp()), "no valid active set: instance is infeasible or degenerate"),
         (lambda: pc.gen_ineq_qp(2, [3], 2, seed=0), "block_dims must have length p"),
         (lambda: pc.gen_lasso(4, 10, 0.0, seed=0), "tau must be positive"),
         (lambda: pc.gen_toy_svm([(np.array([1.0]), 1)]), "need at least 2 points"),
     ],
-    ids=["kkt-on-ge", "active-set-on-eq", "active-set-rows", "ineq-block-dims", "lasso-tau", "svm-one-point"],
+    ids=["active-set-rows", "active-set-eq-rows", "active-set-singular-eq", "ineq-block-dims", "lasso-tau", "svm-one-point"],
 )
 def test_oracles_and_generators_reject_input_outside_their_scope(call, message):
     with pytest.raises(ValueError) as info:
