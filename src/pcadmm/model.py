@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -89,30 +88,24 @@ def _finite(x):
     return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
 
 
-@lru_cache(maxsize=64)
-def _probe(n):
-    """The probe of :func:`_ortho_scaled_holds`, z_j = 2 + cos(j);
-    read-only, as it is shared."""
-    z = 2.0 + np.cos(np.arange(n))
-    z.flags.writeable = False
-    return z
-
-
 def _ortho_scaled_holds(A):
-    # A'A = cI with c = ||A e_1||^2 > 0, to a relative 1e-12, in O(mn)
-    # where forming A'A is O(mn^2); rank(A) <= m rules out n > m.  Equal
-    # squared column norms are exact and necessary; then A'(A z) = c z on
-    # a probe whose entries 2 + cos(j) have no small integer relation for
-    # an off-diagonal error to cancel on.  NaN, inf or overflow compare False.
+    # A'A = cI with c = ||A e_1||^2 > 0, entrywise to within 1e-12 c;
+    # rank(A) <= m rules out n > m.  If every nonzero of A lies on its
+    # diagonal d, A'A = diag(d^2), seen in O(mn).  Otherwise the squared
+    # column norms, the diagonal of A'A, must be equal (O(mn)) before A'A
+    # is formed.  NaN, inf or overflow compare False.
     m, n = A.shape
     if n == 0 or n > m:
         return False
     with np.errstate(all="ignore"):
-        cols = np.einsum("ij,ij->j", A, A)
+        d = A.diagonal()
+        diagonal = np.count_nonzero(A) == np.count_nonzero(d)
+        cols = d * d if diagonal else np.einsum("ij,ij->j", A, A)
         c = cols[0]
-        z = _probe(n)
-        r = A.T @ (A @ z) - c * z
-        return bool(c > 0 and abs(cols - c).max() <= 1e-12 * c and r @ r <= (1e-12 * c) ** 2 * (z @ z))
+        equal = bool(c > 0 and abs(cols - c).max() <= 1e-12 * c)
+        if diagonal or not equal:
+            return equal
+        return bool(abs(A.T @ A - c * np.eye(n)).max() <= 1e-12 * c)
 
 
 def _check_variant(variant):
@@ -254,9 +247,9 @@ class BlockSpec:
     """One objective block: its atom, set, and coupling matrix A (m x n).
 
     ``n`` and ``ortho_scaled`` are derived from A, not passed.
-    ``ortho_scaled`` is True when A'A = cI with c = ||A e_1||^2 > 0, to
-    a relative 1e-12; a block with no x'Hx term then solves in one
-    closed-form prox step.
+    ``ortho_scaled`` is True when A'A = cI with c = ||A e_1||^2 > 0,
+    entrywise to within 1e-12 c; a block with no x'Hx term then solves
+    in one closed-form prox step.
     """
 
     theta: object

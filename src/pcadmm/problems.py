@@ -163,6 +163,8 @@ def active_set_oracle(problem: SeparableProblem) -> ReferenceSolution:
 
 def _draw_qp(block_dims, m, sense, seed_words):
     """The first of 20 seeded draws whose oracle accepts it."""
+    if any(n < 1 for n in block_dims):
+        raise ValueError("every block dimension must be at least 1")
     for attempt in range(20):
         rng = np.random.default_rng(np.random.SeedSequence([*seed_words, attempt]))
         blocks = _quadratic_blocks(rng, block_dims, m)
@@ -225,6 +227,8 @@ def gen_lasso(n, samples, tau, seed, data=None):
         D = np.asarray(data[0], dtype=float)
         d = np.asarray(data[1], dtype=float)
         samples, n = D.shape
+    if not D.any():
+        raise ValueError("the data matrix D (samples x n) must have a nonzero entry")
     H = D.T @ D
     c = -D.T @ d
     blocks = (
@@ -269,12 +273,17 @@ def gen_toy_svm(points, seed=0):
             center = np.array([1.0, 1.0]) if label == 1 else np.array([-1.0, -1.0])
             data.append((center + 0.5 * rng.standard_normal(2), label))
     else:
-        data = [(np.asarray(x, dtype=float), int(y)) for x, y in points]
+        try:
+            data = [(np.asarray(x, dtype=float), int(y)) for x, y in points]
+        except (TypeError, ValueError) as e:
+            raise ValueError("points must be an integer or a sequence of (feature_vector, label) pairs") from e
         if len(data) < 2:
             raise ValueError("need at least 2 points")
     labels = {y for _, y in data}
     if labels != {-1, 1}:
         raise ValueError("need both classes (+1 and -1) present")
+    if len({x.shape for x, _ in data}) != 1 or data[0][0].ndim != 1 or data[0][0].size < 1:
+        raise ValueError("feature vectors must be nonempty, one-dimensional and of one length")
 
     k = len(data)
     dim = data[0][0].size

@@ -129,15 +129,33 @@ def _reduced_lasso_optimum(A, tau, b):
     return tau * np.abs(x_next).sum() + 0.5 * y @ y + y.sum()
 
 
+def _probe_null_gram(n, w):
+    # I + E with E symmetric, zero on its diagonal, max|E_ij| = 0.3 and
+    # Ez = 0 for z_j = 2 + cos(j): E's n(n - 1)/2 free entries meet n
+    # equations, so for n >= 4 the weights w (length n(n - 3)/2) pick E
+    # from a null space that a test of A'(Az) = cz on this z cannot see
+    z = 2.0 + np.cos(np.arange(n))
+    rows, cols = np.triu_indices(n, 1)
+    basis = np.zeros((rows.size, n, n))
+    basis[np.arange(rows.size), rows, cols] = basis[np.arange(rows.size), cols, rows] = 1.0
+    E = np.tensordot(w @ np.linalg.svd((basis @ z).T)[2][n:], basis, 1)
+    return np.eye(n) + 0.3 * E / abs(E).max()
+
+
 # A'A = I + ww' with w = (0, 3, -2), and I + E with a zero-diagonal E and
-# E(1, 2, 3, 4)' = 0, which a probe on z = (1, ..., n) cannot see; and
-# I + pp' with p_1 = 0 and p'z = 0 for the probe z_j = 2 + cos(j) of
-# BlockSpec, which only its column-norm test sees
+# E(1, 2, 3, 4)' = 0, which a probe on z = (1, ..., n) cannot see; I + pp'
+# with p_1 = 0 and p'z = 0 for z_j = 2 + cos(j), which only equal column
+# norms rule out; and I + E with Ez = 0 for that z and equal column norms
 W = np.array([0.0, 3.0, -2.0])
 E = 0.05 * np.array([[0, 0, 8, -6], [0, 0, -4, 3], [8, -4, 0, 0], [-6, 3, 0, 0]])
 Z = 2.0 + np.cos(np.arange(3))
 P = np.array([0.0, -Z[2], Z[1]])
-BLIND_SPOTS = {"rank-one": np.eye(3) + np.outer(W, W), "zero-diagonal": np.eye(4) + E, "probe-null": np.eye(3) + np.outer(P, P)}
+BLIND_SPOTS = {
+    "rank-one": np.eye(3) + np.outer(W, W),
+    "zero-diagonal": np.eye(4) + E,
+    "probe-null": np.eye(3) + np.outer(P, P),
+    "zero-diagonal-cos-probe": _probe_null_gram(4, np.ones(2)),
+}
 
 
 @pytest.mark.parametrize("gram", BLIND_SPOTS.values(), ids=BLIND_SPOTS.keys())
@@ -174,6 +192,14 @@ def _ortho_corpus(rng):
         yield s * (Q + 1e-6 * rng.standard_normal((m, n))), False
         yield rng.standard_normal((m, n)), False
         yield rng.standard_normal((n, n + int(rng.integers(1, 4)))), False  # n > m
+    for n in range(2, 9):
+        # every nonzero on the diagonal: tall with equal |d|, square without
+        yield rng.uniform(0.1, 10.0) * np.eye(n + 2, n) * rng.choice([-1.0, 1.0], n), True
+        yield np.diag(rng.uniform(0.5, 2.0, n)), False
+    for n in np.repeat(np.arange(4, 9), 20):
+        gram = _probe_null_gram(n, rng.standard_normal(n * (n - 3) // 2))
+        Q = np.linalg.qr(rng.standard_normal((n + int(rng.integers(0, 5)), n)))[0]
+        yield rng.uniform(0.1, 10.0) * Q @ np.linalg.cholesky(gram).T, False
 
 
 def test_ortho_scaled_is_derived_from_a():
@@ -188,9 +214,6 @@ def test_ortho_scaled_is_derived_from_a():
             assert not pc.BlockSpec(theta=pc.Zero(), A=np.diag([1.0, bad])).ortho_scaled
         for A in (np.zeros((2, 2)), np.zeros((2, 0)), [[1e200]]):
             assert not pc.BlockSpec(theta=pc.Zero(), A=A).ortho_scaled
-    # the probe is built once per n and shared, so it cannot be written
-    assert model._probe(5) is model._probe(5) and not model._probe(5).flags.writeable
-    np.testing.assert_array_equal(model._probe(5), 2.0 + np.cos(np.arange(5)))
 
 
 @pytest.mark.parametrize("claim, A, route", [(True, np.diag([1.0, 3.0]), "pg"), (False, np.eye(2), "closed")])

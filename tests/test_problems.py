@@ -136,8 +136,27 @@ def _inconsistent_eq_qp():
         (lambda: pc.gen_ineq_qp(2, [3], 2, seed=0), "block_dims must have length p"),
         (lambda: pc.gen_lasso(4, 10, 0.0, seed=0), "tau must be positive"),
         (lambda: pc.gen_toy_svm([(np.array([1.0]), 1)]), "need at least 2 points"),
+        (lambda: pc.gen_eq_qp(2, [0, 3], 2, 0), "every block dimension must be at least 1"),
+        (lambda: pc.gen_ineq_qp(2, [0, 3], 2, 0), "every block dimension must be at least 1"),
+        (lambda: pc.gen_lasso(0, 5, 0.5, 0), "the data matrix D (samples x n) must have a nonzero entry"),
+        (lambda: pc.gen_lasso(3, 0, 0.5, 0), "the data matrix D (samples x n) must have a nonzero entry"),
+        (lambda: pc.gen_toy_svm([([1.0], 1), ([1.0, 2.0], -1)]), "feature vectors must be nonempty, one-dimensional and of one length"),
+        (lambda: pc.gen_toy_svm(3.0), "points must be an integer or a sequence of (feature_vector, label) pairs"),
     ],
-    ids=["active-set-rows", "active-set-eq-rows", "active-set-singular-eq", "ineq-block-dims", "lasso-tau", "svm-one-point"],
+    ids=[
+        "active-set-rows",
+        "active-set-eq-rows",
+        "active-set-singular-eq",
+        "ineq-block-dims",
+        "lasso-tau",
+        "svm-one-point",
+        "eq-zero-block",
+        "ineq-zero-block",
+        "lasso-no-features",
+        "lasso-no-samples",
+        "svm-mixed-dims",
+        "svm-float-count",
+    ],
 )
 def test_oracles_and_generators_reject_input_outside_their_scope(call, message):
     with pytest.raises(ValueError) as info:
