@@ -279,6 +279,8 @@ class SeparableProblem:
     blocks: tuple
     b: np.ndarray
     sense: str = EQ
+    p: int = field(init=False)
+    m: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
@@ -287,14 +289,8 @@ class SeparableProblem:
             raise ValueError(f"sense must be one of {_SENSES}, got {self.sense!r}")
         if len(self.blocks) < 1:
             raise ValueError("problem needs at least one block")
-
-    @property
-    def p(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def m(self) -> int:
-        return self.b.size
+        object.__setattr__(self, "p", len(self.blocks))
+        object.__setattr__(self, "m", self.b.size)
 
 
 @dataclass(frozen=True)

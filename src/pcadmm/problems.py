@@ -12,6 +12,7 @@ bit-reproducible given the seed.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +41,12 @@ __all__ = [
 
 # The active-set oracle's enumeration limit (2^rows candidate sets) and
 # tolerance on KKT residuals, multiplier signs and feasibility, and the
-# gradient-map norm at which the lasso oracle's loop stops.
+# gradient-map norm at which the lasso oracle's loop stops, within at
+# most LASSO_ORACLE_ITERS steps.
 MAX_ACTIVE_SET_ROWS = 12
 ACTIVE_SET_TOL = 1e-9
 LASSO_ORACLE_TOL = 1e-13
+LASSO_ORACLE_ITERS = 500_000
 
 # The spectrum range of random quadratic blocks, and the cost per unit
 # of slack in the toy SVM.
@@ -165,6 +168,8 @@ def _draw_qp(block_dims, m, sense, seed_words):
     """The first of 20 seeded draws whose oracle accepts it."""
     if any(n < 1 for n in block_dims):
         raise ValueError("every block dimension must be at least 1")
+    if m < 0:
+        raise ValueError(f"m must be nonnegative, got {m}")
     for attempt in range(20):
         rng = np.random.default_rng(np.random.SeedSequence([*seed_words, attempt]))
         blocks = _quadratic_blocks(rng, block_dims, m)
@@ -197,7 +202,7 @@ def gen_ineq_qp(p, block_dims, m, seed):
     m is capped so that enumerating all 2^m active sets stays cheap.
     """
     if m > 4:
-        raise ValueError("inequality oracle is limited to m <= 4")
+        raise ValueError(f"m is capped at 4 to keep the oracle's 2^m enumeration cheap, got {m}")
     block_dims = list(block_dims)
     if len(block_dims) != p:
         raise ValueError("block_dims must have length p")
@@ -214,18 +219,23 @@ def gen_lasso(n, samples, tau, seed, data=None):
     block 2 the l1 atom with A = -I.  The oracle minimizes the
     composite objective in the single variable by proximal gradient,
     run until the gradient-map norm is below ``LASSO_ORACLE_TOL``,
-    independently of the splitting iteration.  ``data``
+    independently of the splitting iteration; it raises RuntimeError if
+    ``LASSO_ORACLE_ITERS`` steps do not get there.  ``data``
     overrides the random draw with an explicit ``(D, d)`` pair.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
     if data is None:
+        if min(n, samples) < 0:
+            raise ValueError(f"n and samples must be nonnegative, got {n} and {samples}")
         rng = np.random.default_rng(seed)
         D = rng.standard_normal((samples, n))
         d = rng.standard_normal(samples)
     else:
         D = np.asarray(data[0], dtype=float)
         d = np.asarray(data[1], dtype=float)
+        if D.ndim != 2 or d.shape != D.shape[:1]:
+            raise ValueError(f"data must be a matrix D and a vector d of one entry per row of D, got shapes {D.shape} and {d.shape}")
         samples, n = D.shape
     if not D.any():
         raise ValueError("the data matrix D (samples x n) must have a nonzero entry")
@@ -240,13 +250,13 @@ def gen_lasso(n, samples, tau, seed, data=None):
     lip = float(np.linalg.eigvalsh(H)[-1])
     step = 1.0 / lip
     x = np.zeros(n)
-    for _ in range(500_000):
-        grad = H @ x + c
-        x_next = prox_shrink(x - step * grad, step * tau)
-        if np.linalg.norm(x - x_next) * lip <= LASSO_ORACLE_TOL:
-            x = x_next
+    for _ in range(LASSO_ORACLE_ITERS):
+        x_prev = x
+        x = prox_shrink(x_prev - step * (H @ x_prev + c), step * tau)
+        if np.linalg.norm(x_prev - x) * lip <= LASSO_ORACLE_TOL:
             break
-        x = x_next
+    else:
+        raise RuntimeError(f"lasso oracle did not reach gradient-map norm {LASSO_ORACLE_TOL} in {LASSO_ORACLE_ITERS} steps")
     lam = H @ x + c  # = D'(Dx - d), the multiplier of x - y = 0
     return problem, _reference_from_primal(problem, np.concatenate([x, x]), lam)
 
@@ -259,7 +269,8 @@ def gen_toy_svm(points, seed=0):
 
     ``points`` is either an integer (that many random labeled samples
     are drawn, with both classes present) or an explicit sequence of
-    (feature_vector, label) pairs with labels +-1.  A reference is
+    (feature_vector, label) pairs with labels exactly +1 or -1 (an int
+    or a float); any other label raises ValueError.  A reference is
     available through :func:`active_set_oracle` whenever the total row
     count stays within the enumeration cap.
     """
@@ -274,11 +285,14 @@ def gen_toy_svm(points, seed=0):
             data.append((center + 0.5 * rng.standard_normal(2), label))
     else:
         try:
-            data = [(np.asarray(x, dtype=float), int(y)) for x, y in points]
+            data = [(np.asarray(x, dtype=float), y) for x, y in points]
         except (TypeError, ValueError) as e:
             raise ValueError("points must be an integer or a sequence of (feature_vector, label) pairs") from e
         if len(data) < 2:
             raise ValueError("need at least 2 points")
+        for _, y in data:
+            if not isinstance(y, numbers.Real) or y not in (1, -1):
+                raise ValueError(f"label {y!r} is not +1 or -1")
     labels = {y for _, y in data}
     if labels != {-1, 1}:
         raise ValueError("need both classes (+1 and -1) present")

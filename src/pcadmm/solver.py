@@ -264,12 +264,12 @@ def contraction_check(log: RunLog, problem: SeparableProblem, config: SolverConf
     budget proportional to the inner tolerance (inexact block solves
     perturb the inequality).  Returns the list of iteration indices
     where it is not shown to hold, so a non-finite term counts as a
-    violation; an empty list certifies the run.  ``reference`` must be
-    finite.
+    violation, and an empty list means no recorded iteration violates
+    it.  ``reference`` must be finite.
     """
     if reference is None:
         raise MissingReferenceError("contraction audit needs a reference solution")
-    if len(log.xi_preds) == 0 or len(log.xi_states) < len(log.xi_preds) + 1:
+    if len(log.xi_states) < len(log.xi_preds) + 1:
         raise MissingReferenceError("log has no xi snapshots; run with record_xi=True")
     p, m, K = problem.p, problem.m, len(log.xi_preds)
     states, preds = log.xi_states[: K + 1], log.xi_preds

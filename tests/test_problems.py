@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import pcadmm as pc
+from pcadmm import problems
 
 
 def test_active_set_oracle_eq_hand_instance():
@@ -142,6 +143,17 @@ def _inconsistent_eq_qp():
         (lambda: pc.gen_lasso(3, 0, 0.5, 0), "the data matrix D (samples x n) must have a nonzero entry"),
         (lambda: pc.gen_toy_svm([([1.0], 1), ([1.0, 2.0], -1)]), "feature vectors must be nonempty, one-dimensional and of one length"),
         (lambda: pc.gen_toy_svm(3.0), "points must be an integer or a sequence of (feature_vector, label) pairs"),
+        (lambda: pc.gen_toy_svm([([1.0, 2.0], 1.7), ([0.5, -1.0], -1.2)]), "label 1.7 is not +1 or -1"),
+        (lambda: pc.gen_toy_svm([([1.0], "1"), ([-1.0], -1)]), "label '1' is not +1 or -1"),
+        (lambda: pc.gen_toy_svm([([1.0], 1), ([-1.0], [-1])]), "label [-1] is not +1 or -1"),
+        (lambda: pc.gen_eq_qp(2, [3, 3], -1, 0), "m must be nonnegative, got -1"),
+        (lambda: pc.gen_ineq_qp(2, [3, 3], -1, 0), "m must be nonnegative, got -1"),
+        (lambda: pc.gen_lasso(-1, 5, 0.5, 0), "n and samples must be nonnegative, got -1 and 5"),
+        (lambda: pc.gen_lasso(3, -2, 0.5, 0), "n and samples must be nonnegative, got 3 and -2"),
+        (
+            lambda: pc.gen_lasso(2, 3, 0.5, 0, data=(np.ones((3, 2)), np.ones(4))),
+            "data must be a matrix D and a vector d of one entry per row of D, got shapes (3, 2) and (4,)",
+        ),
     ],
     ids=[
         "active-set-rows",
@@ -156,12 +168,37 @@ def _inconsistent_eq_qp():
         "lasso-no-samples",
         "svm-mixed-dims",
         "svm-float-count",
+        "svm-truncated-labels",
+        "svm-string-label",
+        "svm-list-label",
+        "eq-negative-m",
+        "ineq-negative-m",
+        "lasso-negative-n",
+        "lasso-negative-samples",
+        "lasso-data-rows",
     ],
 )
 def test_oracles_and_generators_reject_input_outside_their_scope(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+def test_toy_svm_float_and_numpy_labels_give_the_int_problem():
+    def data_bytes(prob):
+        return [prob.b.tobytes()] + [blk.A.tobytes() for blk in prob.blocks]
+
+    points = [([1.0, 2.0], 1), ([0.5, 0.0], -1), ([-0.3, 0.7], -1)]
+    expected = data_bytes(pc.gen_toy_svm(points))
+    for one, minus_one in [(1.0, -1.0), (np.int64(1), np.int64(-1)), (np.float64(1.0), -1)]:
+        relabeled = [(x, one if y == 1 else minus_one) for x, y in points]
+        assert data_bytes(pc.gen_toy_svm(relabeled)) == expected
+
+
+def test_lasso_oracle_that_exhausts_its_steps_raises(monkeypatch):
+    monkeypatch.setattr(problems, "LASSO_ORACLE_ITERS", 2)
+    with pytest.raises(RuntimeError, match=r"^lasso oracle did not reach gradient-map norm 1e-13 in 2 steps$"):
+        pc.gen_lasso(8, 16, 0.5, seed=3)
 
 
 def test_gen_ineq_qp_kkt_conditions():

@@ -203,6 +203,20 @@ def test_contraction_check_requires_reference_and_snapshots():
         pc.contraction_check(bare.log, prob, pc.SolverConfig(), ref)
 
 
+def test_contraction_check_of_a_recorded_run_that_never_iterated_is_empty():
+    # the singular exact block stops the run at compile: xi_0 is recorded
+    # and no iteration is, so there is nothing to violate
+    prob = pc.SeparableProblem(
+        blocks=(pc.BlockSpec(theta=pc.Quadratic(np.zeros((2, 2)), np.zeros(2)), set=pc.Free(), A=[[1.0, 1.0]]),),
+        b=[1.0],
+    )
+    config = pc.SolverConfig(record_xi=True)
+    result = pc.run(prob, config)
+    assert result.reason.kind == pc.SUBPROBLEM_FAILURE
+    assert len(result.log.xi_states) == 1 and result.log.xi_preds == []
+    assert pc.contraction_check(result.log, prob, config, (np.zeros((1, 1)), np.zeros(1))) == []
+
+
 def test_contraction_check_flags_corrupted_lambda_row():
     from pcadmm.matrices import xi_from_aggregates
     from pcadmm.solver import RunLog
