@@ -45,6 +45,14 @@ MAX_INNER_ITERS = 200_000
 # under inner_tol even for probe points a moderate distance away.
 GAP_FRACTION = 0.04
 
+# The largest condition number w[-1]/w[0] of S for which the Newton solve
+# keeps inv(S_FF) and applies it with one product.  A solve through an
+# explicit inverse is not backward stable: its residual, which the
+# certificate tests, grows with the condition number (Higham, Accuracy
+# and Stability of Numerical Algorithms, 2002, ch. 14).  By Cauchy
+# interlacing cond(S_FF) <= cond(S), so the bound holds for every F.
+INVERSE_COND = 10.0
+
 
 class SubproblemError(Exception):
     """A block subproblem could not be set up or solved."""
@@ -139,6 +147,14 @@ def compile_block(block, beta) -> BlockPlan:
       and on every other set, a projected-gradient loop runs from
       ``x0``.  Either way the point returned has a gradient-map norm
       safely below ``inner_tol``, or is all NaN when r is not finite.
+      The plan keeps the free set of its last Newton step and that
+      set's factor, so a warm-started step on the same free set copies
+      no sub-matrix of S.  The factor is inv(S_FF), applied with one
+      product, only when lip <= ``INVERSE_COND`` * w[0]: a solve through
+      an inverse is not backward stable, and its residual, which the
+      certificate tests, grows with cond(S_FF) <= cond(S).  Otherwise
+      the factor is S_FF and each step solves it with LU, as a direct
+      :func:`_active_set_newton` call does.
 
     Every built-in route raises :class:`SubproblemError` when S (L on
     the closed route) is not finite, as from finite data whose products
@@ -229,13 +245,14 @@ def compile_block(block, beta) -> BlockPlan:
     w, delta = _spectrum(S, n)
     lip = float(w[-1])
     newton = isinstance(set_spec, NonNeg) and w[0] > delta * lip
+    cache = _FreeSetFactor(w) if newton else None
 
     def solve_pg(req, inner_tol, x0):
         r = target(req.v)
         x = None
         if newton:
             # tau ||x||_1 = tau 1'x on the orthant
-            x = _active_set_newton(S, lip, r - tau if tau else r, project, inner_tol, x0)
+            x = _active_set_newton(S, lip, r - tau if tau else r, project, inner_tol, x0, cache)
         if x is None and not np.isfinite(r).all():
             x = np.full(n, np.nan)  # no minimizer: let the run stop with non_finite
         elif x is None:
@@ -267,18 +284,33 @@ def solve_block_subproblem(req: SubproblemRequest, inner_tol: float, x0=None):
     return plan.solve(req, inner_tol, x0)
 
 
-def _prox_step(S, lip, r, tau, project, x):
-    """One proximal-gradient step from x with step 1/lip: the prox of
-    tau ||.||_1 plus the set indicator (shrink-then-project with the
-    set's ``project``, since both act componentwise) at
-    x - (S x - r)/lip.  ``lip`` times the distance from x to this step
-    is the gradient-map norm, zero exactly at the minimizer."""
+def _prox_step(lip, grad, tau, project, x):
+    """One proximal-gradient step from x with step 1/lip, given the
+    gradient ``grad`` = S x - r there: the prox of tau ||.||_1 plus the
+    set indicator (shrink-then-project with the set's ``project``, since
+    both act componentwise) at x - grad/lip.  ``lip`` times the distance
+    from x to this step is the gradient-map norm, zero exactly at the
+    minimizer."""
     step = 1.0 / lip
-    z = x - step * (S.dot(x) - r)
+    z = x - step * grad
     return project(prox_shrink(z, step * tau) if tau else z)
 
 
-def _active_set_newton(S, lip, r, project, inner_tol, x0):
+class _FreeSetFactor:
+    """The free set F of a Newton solve's last step, as the key
+    ``free.tobytes()``, and F's factor: inv(S_FF) when ``inverse`` (see
+    ``INVERSE_COND``; ``w`` is S's ascending spectrum), else S_FF.  Both
+    sit in one tuple, ``last``, so a reader never pairs a key with
+    another set's factor."""
+
+    __slots__ = ("inverse", "last")
+
+    def __init__(self, w):
+        self.inverse = bool(w[-1] <= INVERSE_COND * w[0])
+        self.last = (None, None)
+
+
+def _active_set_newton(S, lip, r, project, inner_tol, x0, cache=None):
     """Primal-dual active-set method (Hintermuller, Ito & Kunisch, 2002)
     for min 0.5 x'Sx - r'x over x >= 0 with S positive definite.
 
@@ -287,20 +319,45 @@ def _active_set_newton(S, lip, r, project, inner_tol, x0):
     The clipped step is returned as soon as it passes the projected-
     gradient loop's own test; the test, not a repeated active set, ends
     the method, because roundoff can flip weakly active coordinates
-    forever.  Returns None after 2n + 2 steps without a certified point.
+    forever.  When the step has no negative coordinate, the clipped
+    step is the step, and the test reuses its mu as the gradient.
+    Returns None after 2n + 2 steps without a certified point, or at
+    the first step whose test is NaN (r not finite).
+
+    ``cache`` is the calling plan's :class:`_FreeSetFactor`: a step on
+    the free set of the one before, as from a warm start, reuses its
+    factor.  That factor is inv(S_FF) only when cond(S) <=
+    ``INVERSE_COND``, because an inverse-based solve's residual grows
+    with the condition number; otherwise each step solves S_FF with
+    LU.  Without a cache the same choice is made from S's spectrum, so
+    a direct call returns a plan's bits.
     """
+    if cache is None:
+        cache = _FreeSetFactor(np.linalg.eigvalsh(S))
     n = r.shape[0]
     x = project(np.zeros(n) if x0 is None else np.asarray(x0, dtype=float))
     active = S.dot(x) - r > lip * x
     gtol = GAP_FRACTION * inner_tol
     for _ in range(2 * n + 2):
         free = ~active
+        key = free.tobytes()
+        last_key, factor = cache.last
+        if key != last_key:
+            factor = S[free][:, free]
+            if cache.inverse:
+                factor = np.linalg.inv(factor)
+            cache.last = (key, factor)
         y = np.zeros(n)
-        y[free] = np.linalg.solve(S[free][:, free], r[free])
-        active = S.dot(y) - r > lip * y
+        y[free] = factor.dot(r[free]) if cache.inverse else np.linalg.solve(factor, r[free])
+        mu = S.dot(y) - r
+        active = mu > lip * y
         x = np.maximum(y, 0.0)
-        if lip * _norm(x - _prox_step(S, lip, r, 0.0, project, x)) <= gtol:
+        grad = S.dot(x) - r if y.min() < 0.0 else mu
+        gap = lip * _norm(x - _prox_step(lip, grad, 0.0, project, x))
+        if gap <= gtol:
             return x
+        if math.isnan(gap):
+            return None
     return None
 
 
@@ -323,7 +380,7 @@ def _projected_gradient(S, lip, r, tau, project, inner_tol, x0):
     x = project(np.zeros(r.shape[0]) if x0 is None else np.asarray(x0, dtype=float))
     gtol = GAP_FRACTION * inner_tol
     for _ in range(MAX_INNER_ITERS):
-        x_next = _prox_step(S, lip, r, tau, project, x)
+        x_next = _prox_step(lip, S.dot(x) - r, tau, project, x)
         gap = _norm(x - x_next) * lip
         x = x_next
         if gap <= gtol:

@@ -10,9 +10,13 @@ import numpy as np
 import pytest
 
 import pcadmm as pc
-from pcadmm import cli
+from pcadmm import cli, prox
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
+# two strictly convex quadratics on the orthant, n_i = 12 and m = 5: the
+# Newton solve of the pg route, with cond(S) below INVERSE_COND on one
+# block and above it on the other
+NONNEG_QP = Path(__file__).resolve().parent / "data" / "nonneg_qp.json"
 
 
 def run_cli(*args, cwd=None):
@@ -345,3 +349,22 @@ def test_solve_unreadable_problem_file_is_an_error(content, tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: problem file {path} ")
     assert "Traceback" not in proc.stderr
+
+
+def test_solve_on_the_newton_route_writes_byte_identical_logs(tmp_path, monkeypatch, capsys):
+    problem = pc.problem_from_json(json.loads(NONNEG_QP.read_text()))
+    conds = []
+    for blk in problem.blocks:
+        w = np.linalg.eigvalsh(blk.theta.H + blk.A.T @ blk.A)
+        conds.append(w[-1] / w[0])
+    assert conds[0] <= prox.INVERSE_COND < conds[1]
+    calls = []
+    newton = prox._active_set_newton
+    monkeypatch.setattr(prox, "_active_set_newton", lambda *args: calls.append(args) or newton(*args))
+    logs, outs = [tmp_path / "a.csv", tmp_path / "b.csv"], []
+    for log in logs:
+        assert cli.main(["solve", "--problem", str(NONNEG_QP), "--log", str(log)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert calls and parse_kv(outs[0])["reason"] == "converged"
+    assert logs[0].read_bytes() == logs[1].read_bytes()
+    assert outs[0] == outs[1]

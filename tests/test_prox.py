@@ -541,3 +541,172 @@ def test_a_strided_coupling_takes_the_route_and_answer_of_its_copy():
             (x, a), (x_copy, a_copy) = (plan.solve(req, inner_tol, None) for plan in plans)
             assert np.array_equal(x, x_copy) and np.array_equal(a, a_copy)
     assert routes == ["closed", "exact", "pg", "custom"]
+
+
+def _nonneg_block(rng, n, cond):
+    # a quadratic on the orthant with beta = 1 and a square A, so every
+    # target r is A'v - c for some v; S = H + A'A has spectrum [1, cond]
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = 0.5 * np.linalg.qr(rng.standard_normal((n, n)))[0]
+    H = (Q * np.geomspace(1.0, cond, n)) @ Q.T - A.T @ A
+    theta = pc.Quadratic((H + H.T) / 2, rng.standard_normal(n))
+    blk = pc.BlockSpec(theta=theta, set=pc.NonNeg(), A=A)
+    w = np.linalg.eigvalsh(_normal_form(theta, A, 1.0, np.zeros(n))[0])
+    assert (w[-1] <= prox.INVERSE_COND * w[0]) == (cond <= prox.INVERSE_COND)
+    return blk
+
+
+def _planted_request(blk, rng, free, x_prev=None):
+    # a target whose minimizer is positive exactly on `free`, and near
+    # x_prev where that is positive
+    n = blk.n
+    x_star = rng.uniform(0.5, 2, n)
+    if x_prev is not None:
+        x_star = np.where(x_prev > 0, x_prev + 0.01 * rng.standard_normal(n), x_star)
+    x_star[~free] = 0.0
+    mu = np.where(free, 0.0, rng.uniform(0.5, 2, n))
+    S = _normal_form(blk.theta, blk.A, 1.0, np.zeros(n))[0]
+    v = np.linalg.solve(blk.A.T, S @ x_star - mu + blk.theta.c)
+    return SubproblemRequest(theta=blk.theta, set=blk.set, A=blk.A, beta=1.0, v=v), x_star
+
+
+def _record_calls(monkeypatch, name):
+    # the sizes of the matrices np.linalg.<name> is called with
+    sizes, fn = [], getattr(np.linalg, name)
+
+    def recorded(a, *args):
+        sizes.append(a.shape[0])
+        return fn(a, *args)
+
+    monkeypatch.setattr(np.linalg, name, recorded)
+    return sizes
+
+
+def test_a_warm_started_plan_inverts_once_per_free_set(monkeypatch):
+    # targets in runs of three sharing an optimal free set, each solve
+    # warm-started from the last answer: only the first solve of a run
+    # meets a new free set (the plan's first solve, an empty cache), so
+    # only it inverts
+    rng = np.random.default_rng(47)
+    n, inner_tol = 8, 1e-10
+    blk = _nonneg_block(rng, n, 4.0)
+    plan = pc.compile_block(blk, 1.0)
+    inverted = _record_calls(monkeypatch, "inv")
+    free_sets = [np.arange(n) < 5, np.arange(n) >= 3]
+    req, x_star = _planted_request(blk, rng, free_sets[0])
+    x0 = x_star
+    for run, free in enumerate([*free_sets, free_sets[0]]):
+        for k in range(3):
+            req, x_star = _planted_request(blk, rng, free, x0)
+            before = len(inverted)
+            x, _ = plan.solve(req, inner_tol, x0)
+            np.testing.assert_allclose(x, x_star, atol=1e-9)
+            if k == 0:
+                assert len(inverted) > before and inverted[-1] == free.sum()
+            else:
+                assert len(inverted) == before
+            x0 = x
+    assert len(inverted) >= 3
+
+
+@pytest.mark.parametrize("cond", [4.0, 40.0], ids=["inverse", "lu"])
+def test_alternating_free_sets_get_no_stale_factor(cond):
+    # every target's optimal free set differs from the one before, so a
+    # factor kept for the last set must not be applied to the next
+    rng = np.random.default_rng(53)
+    n, inner_tol = 8, 1e-10
+    blk = _nonneg_block(rng, n, cond)
+    plan = pc.compile_block(blk, 1.0)
+    S = _normal_form(blk.theta, blk.A, 1.0, np.zeros(n))[0]
+    free_sets = [np.arange(n) % 2 == 0, np.arange(n) < 6]
+    x0 = None
+    for k in range(8):
+        req, x_star = _planted_request(blk, rng, free_sets[k % 2])
+        x, _ = plan.solve(req, inner_tol, x0)
+        r = _normal_form(blk.theta, blk.A, 1.0, req.v)[2]
+        _assert_nonneg_certificate(S, r, 0.0, x, inner_tol, rng)
+        np.testing.assert_allclose(x, x_star, atol=1e-9)
+        fresh, _ = pc.compile_block(blk, 1.0).solve(req, inner_tol, x0)
+        np.testing.assert_array_equal(x, fresh)
+        x0 = x
+
+
+@pytest.mark.parametrize("cond", [4.0, 40.0], ids=["inverse", "lu"])
+def test_a_target_with_every_coordinate_active_gives_zero(cond, monkeypatch):
+    # r < 0 everywhere: the minimizer is 0 and S_FF is 0 x 0
+    rng = np.random.default_rng(59)
+    n, inner_tol = 6, 1e-10
+    blk = _nonneg_block(rng, n, cond)
+    plan = pc.compile_block(blk, 1.0)
+    inverted = _record_calls(monkeypatch, "inv")
+    req, _ = _planted_request(blk, rng, np.zeros(n, dtype=bool))
+    S, lip, r, _ = _normal_form(blk.theta, blk.A, 1.0, req.v)
+    assert np.all(r < 0)
+    for x0 in (None, np.ones(n), None):
+        x, ax = plan.solve(req, inner_tol, x0)
+        np.testing.assert_array_equal(x, np.zeros(n))
+        np.testing.assert_array_equal(ax, np.zeros(n))
+        np.testing.assert_array_equal(prox._active_set_newton(S, lip, r, blk.set.project, inner_tol, x0), x)
+    if cond <= prox.INVERSE_COND:
+        assert 0 in inverted
+    else:
+        assert inverted == []
+
+
+def _newton_with_lu(S, lip, r, inner_tol, x0):
+    # the active-set Newton method on the orthant with an LU solve of
+    # S_FF on every step and the certificate's own gradient
+    n = r.shape[0]
+    x = np.maximum(np.zeros(n) if x0 is None else x0, 0.0)
+    active = S @ x - r > lip * x
+    for _ in range(2 * n + 2):
+        free = ~active
+        y = np.zeros(n)
+        y[free] = np.linalg.solve(S[free][:, free], r[free])
+        active = S @ y - r > lip * y
+        x = np.maximum(y, 0.0)
+        step = np.maximum(x - (1.0 / lip) * (S @ x - r), 0.0)
+        if lip * np.linalg.norm(x - step) <= prox.GAP_FRACTION * inner_tol:
+            return x
+    return None
+
+
+def test_an_ill_conditioned_block_keeps_the_lu_solve(monkeypatch):
+    # cond(S) > INVERSE_COND: a plan's warm-started answers are the bits
+    # of an LU solve on every step, and nothing is inverted
+    rng = np.random.default_rng(61)
+    n, m, beta, inner_tol = 10, 4, 1.3, 1e-10
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    theta = pc.Quadratic((Q * np.geomspace(0.1, 20.0, n)) @ Q.T, rng.standard_normal(n))
+    A = rng.standard_normal((m, n))
+    plan = pc.compile_block(pc.BlockSpec(theta=theta, set=pc.NonNeg(), A=A), beta)
+    inverted = _record_calls(monkeypatch, "inv")
+    x0 = None
+    for v in rng.standard_normal((12, m)):
+        S, lip, r, _ = _normal_form(theta, A, beta, v)
+        w = np.linalg.eigvalsh(S)
+        assert w[-1] > prox.INVERSE_COND * w[0]
+        x, _ = plan.solve(SubproblemRequest(theta=theta, set=pc.NonNeg(), A=A, beta=beta, v=v), inner_tol, x0)
+        want = _newton_with_lu(S, lip, r, inner_tol, x0)
+        assert want is not None and 0 < np.count_nonzero(want) < n
+        np.testing.assert_array_equal(x, want)
+        x0 = x
+    assert inverted == []
+
+
+@pytest.mark.parametrize("cond", [4.0, 40.0], ids=["inverse", "lu"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_newton_stops_at_the_first_non_finite_step(cond, bad, monkeypatch):
+    # a NaN or inf target has no minimizer: one Newton step, not 2n + 2,
+    # and the plan returns its all-NaN point
+    rng = np.random.default_rng(67)
+    n, inner_tol = 6, 1e-10
+    blk = _nonneg_block(rng, n, cond)
+    plan = pc.compile_block(blk, 1.0)
+    steps = _record_calls(monkeypatch, "inv" if cond <= prox.INVERSE_COND else "solve")
+    v = rng.standard_normal(n)
+    v[2] = bad
+    with np.errstate(invalid="ignore", over="ignore"):
+        x, _ = plan.solve(SubproblemRequest(theta=blk.theta, set=blk.set, A=blk.A, beta=1.0, v=v), inner_tol, None)
+    assert np.isnan(x).all()
+    assert len(steps) == 1
