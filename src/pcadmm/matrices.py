@@ -157,7 +157,7 @@ def kron_form(T, x):
     x = xi.reshape(p + 1, m); leading axes evaluate a stack at once.
     """
     x = np.asarray(x, dtype=float)
-    gram = x @ np.swapaxes(x, -1, -2)
+    gram = x @ x.swapaxes(-1, -2)
     # einsum contracts without the (..., p+1, p+1) temporary of gram * T.
     return np.einsum("...ij,ij->...", gram, T)
 

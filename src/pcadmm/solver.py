@@ -64,6 +64,9 @@ _COLUMNS = (
 )
 CSV_COLUMNS = [header for header, _ in _COLUMNS]
 
+# The most bytes of snapshots contraction_check stacks at once.
+_AUDIT_BYTES = 64 * 1024
+
 
 class MissingReferenceError(ValueError):
     """Contraction audit asked for without a reference solution or
@@ -266,12 +269,22 @@ def contraction_check(log: RunLog, problem: SeparableProblem, config: SolverConf
     where it is not shown to hold, so a non-finite term counts as a
     violation, and an empty list means no recorded iteration violates
     it.  ``reference`` must be finite.
+
+    The K + 1 states and K predictions are stacked in consecutive
+    blocks of at most max(1, 64 KiB // (8 (p+1) m)) snapshots each.
+    Beside the log, the audit holds at most about three blocks' bytes
+    (a block's two stacks, and either numpy's buffer for the broadcast
+    reference subtraction or the next block's first stack) plus O(K)
+    floats, not a second copy of the log.
     """
     if reference is None:
         raise MissingReferenceError("contraction audit needs a reference solution")
-    if len(log.xi_states) < len(log.xi_preds) + 1:
-        raise MissingReferenceError("log has no xi snapshots; run with record_xi=True")
     p, m, K = problem.p, problem.m, len(log.xi_preds)
+    if len(log.xi_states) < K + 1:
+        raise MissingReferenceError(
+            f"log has {len(log.xi_states)} xi states and {K} predictions, expected {K + 1} states "
+            "(a run records them with record_xi=True)"
+        )
     states, preds = log.xi_states[: K + 1], log.xi_preds
     lengths = sorted({np.size(xi) for xi in states + preds} - {(p + 1) * m})
     if lengths:
@@ -280,15 +293,20 @@ def contraction_check(log: RunLog, problem: SeparableProblem, config: SolverConf
     G = build_g(config.variant, p, 1, config.nu)
     xi_ref = xi_from_aggregates(*_reference_pair(reference, problem), config.beta)
 
-    # Snapshot stacks of shape (K+1 or K, p+1, m); g is built in place.
-    d = np.array(states, dtype=float).reshape(K + 1, p + 1, m)
-    g = np.array(preds, dtype=float).reshape(K, p + 1, m)
+    size = max(1, _AUDIT_BYTES // (8 * (p + 1) * m))
+    h_forms, g_forms = [], []
     # Overflowed snapshots give inf or NaN forms, and NaN compares False:
     # an iteration passes only when `<=` holds, so that test is negated.
     with np.errstate(over="ignore", invalid="ignore"):
-        np.subtract(d[:K], g, out=g)
-        d -= xi_ref.reshape(p + 1, m)
-        dist_sq = kron_form(H, d)
-        rhs = dist_sq[:K] - kron_form(G, g)
+        for lo in range(0, K + 1, size):
+            # A log that fits in one block is stacked from its lists, not from copies.
+            d = np.array(states if size > K else states[lo : lo + size], dtype=float).reshape(-1, p + 1, m)
+            g = np.array(preds if size > K else preds[lo : lo + size], dtype=float).reshape(-1, p + 1, m)
+            np.subtract(d[: len(g)], g, out=g)
+            d -= xi_ref.reshape(p + 1, m)
+            h_forms.append(kron_form(H, d))
+            g_forms.append(kron_form(G, g))
+        dist_sq, g_sq = np.concatenate(h_forms), np.concatenate(g_forms)
+        rhs = dist_sq[:K] - g_sq
         slack = 1e-8 * (1.0 + dist_sq[:K]) + 100.0 * config.inner_tol
         return np.flatnonzero(~(dist_sq[1:] <= rhs + slack)).tolist()

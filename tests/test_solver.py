@@ -382,6 +382,68 @@ def test_contraction_check_matches_dense_reference(variant, p):
     assert flagged > 0
 
 
+@pytest.mark.parametrize("variant", ["pd", "dp"])
+@pytest.mark.parametrize("p", [1, 3])
+def test_contraction_check_gives_the_same_list_at_every_block_size(monkeypatch, variant, p):
+    # Blocks of 1, 2, K, K + 1 and K + 2 snapshots: a one-snapshot block,
+    # a short last block, a last block that holds only the final state,
+    # and a log that fits in one block.
+    import pcadmm.solver
+
+    prob, ref = pc.gen_eq_qp(p, [6] * p, 4, seed=1)
+    config = pc.SolverConfig(variant=variant, record_xi=True)
+    logs = [pc.run(prob, config, reference=ref).log]
+    logs += [_corrupted_multiplier_log(prob, config, 60, corruption) for corruption in ("flip", "drop")]
+    snapshot_bytes = 8 * (p + 1) * prob.m
+    flagged = 0
+    for log in logs:
+        K = len(log.xi_preds)
+        want = _dense_audit(log, prob, config, ref)
+        flagged += bool(want)
+        for size in (1, 2, K, K + 1, K + 2):
+            monkeypatch.setattr(pcadmm.solver, "_AUDIT_BYTES", size * snapshot_bytes)
+            assert pc.contraction_check(log, prob, config, ref) == want
+    assert flagged > 0
+
+
+def test_contraction_check_holds_a_bounded_block_of_a_long_log():
+    # p = 5 and m = 200 give 9.6 KB snapshots, so 300 iterations log
+    # about 5.8 MB; the audit must not stack a second copy of them.
+    import tracemalloc
+
+    from pcadmm.solver import _AUDIT_BYTES, RunLog
+
+    p, m, K = 5, 200, 300
+    block = pc.BlockSpec(theta=pc.Quadratic([[1.0]], [0.0]), set=pc.Free(), A=np.ones((m, 1)))
+    prob = pc.SeparableProblem(blocks=(block,) * p, b=np.zeros(m))
+    rng = np.random.default_rng(0)
+    log = RunLog(
+        xi_states=[rng.standard_normal((p + 1) * m) for _ in range(K + 1)],
+        xi_preds=[rng.standard_normal((p + 1) * m) for _ in range(K)],
+    )
+    config = pc.SolverConfig(record_xi=True)
+    ref = (np.zeros((p, m)), np.zeros(m))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        violations = pc.contraction_check(log, prob, config, ref)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert violations
+    assert peak < 3 * _AUDIT_BYTES + 64 * K
+
+
+def test_contraction_check_of_a_short_log_names_both_counts():
+    prob, ref = pc.gen_eq_qp(2, [4, 4], 2, seed=12)
+    config = pc.SolverConfig(record_xi=True)
+    log = pc.run(prob, config, reference=ref).log
+    K = len(log.xi_preds)
+    del log.xi_states[K - 1 :]
+    with pytest.raises(pc.MissingReferenceError, match=rf"log has {K - 1} xi states and {K} predictions, expected {K + 1}"):
+        pc.contraction_check(log, prob, config, ref)
+
+
 def test_reference_of_the_wrong_shape_is_rejected():
     prob, ref = pc.gen_eq_qp(2, [10, 10], 5, seed=0)
     with pytest.raises(ValueError, match=r"expected \(2, 5\) and \(5,\)"):
