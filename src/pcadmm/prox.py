@@ -135,10 +135,15 @@ def compile_block(block, beta) -> BlockPlan:
     * ``block.ortho_scaled`` (A'A = cI) with H absent or zero
       (``Quadratic.linear``), so S = L*I, route ``closed``: x is the
       single prox step ``project_set(prox_shrink(r/L, tau/L), set)``;
-    * quadratic atom, free set, route ``exact``: S is checked positive
-      definite (else :class:`NonConvexError` by the pg route's test
-      below, or :class:`SingularSystemError`) and factored once
-      into K = S^-1 beta A' and x_c = -S^-1 c, so x = K v + x_c;
+    * quadratic atom, free set, route ``exact``: one Cholesky
+      factorization of S (LAPACK potrf, in place) and one solve with it
+      (potrs, in place) give K = S^-1 beta A' and x_c = -S^-1 c, so
+      x = K v + x_c.  A failed factorization, or a pivot with
+      U_jj^2 <= n eps S_jj (S singular to working precision, though
+      potrf accepted it on roundoff), raises :class:`NonConvexError` by
+      the pg route's test below on a rebuilt S, else
+      :class:`SingularSystemError`.  ``scipy.linalg`` is imported here,
+      at the first such compile, not with the package;
     * anything else, route ``pg``: the spectrum w of S is computed once;
       an eigenvalue below -delta*max|w| (delta = 1e-12*n) raises
       :class:`NonConvexError`, and lip = w[-1] is kept.  On ``NonNeg``
@@ -153,8 +158,9 @@ def compile_block(block, beta) -> BlockPlan:
       product, only when lip <= ``INVERSE_COND`` * w[0]: a solve through
       an inverse is not backward stable, and its residual, which the
       certificate tests, grows with cond(S_FF) <= cond(S).  Otherwise
-      the factor is S_FF and each step solves it with LU, as a direct
-      :func:`_active_set_newton` call does.
+      the factor is S_FF's potrf Cholesky factor and each step solves
+      with it by one potrs, as a direct :func:`_active_set_newton` call
+      does.
 
     Every built-in route raises :class:`SubproblemError` when S (L on
     the closed route) is not finite, as from finite data whose products
@@ -212,29 +218,32 @@ def compile_block(block, beta) -> BlockPlan:
 
         return BlockPlan("closed", solve_closed)
 
-    S = A.T @ A
-    S *= beta
-    if H is not None:
-        S += H
+    S = _normal_matrix(A, beta, H)
     if not _finite(S):
         raise SubproblemError("normal matrix H + beta*A'A is not finite")
     if H is not None and isinstance(set_spec, Free):
         m = A.shape[0]
-        try:
-            # rhs is built after cholesky's factor is freed, so the two
-            # never add to the peak memory together
-            np.linalg.cholesky(S)
-            rhs = np.empty((n, m + 1))
-            np.multiply(A.T, beta, out=rhs[:, :m])
-            np.negative(c, out=rhs[:, m])
-            sol = np.linalg.solve(S, rhs)
-        except np.linalg.LinAlgError:
-            _spectrum(S, n)  # an indefinite S is not convex, as on the pg route
-            raise SingularSystemError("normal matrix H + beta*A'A is singular") from None
-        # contiguous copies, made once rhs is freed: ndarray.dot would
-        # copy the strided view sol[:, :m] on every solve
-        del rhs
-        K, x_c = np.ascontiguousarray(sol[:, :m]), sol[:, m].copy()
+        lapack = _lapack()
+        diag = S.diagonal().copy()
+        # S is symmetric, so S.T is S in Fortran order: potrf factors it
+        # in place, and potrs solves the Fortran-ordered rhs in place
+        U, info = lapack.dpotrf(S.T, clean=0, overwrite_a=1)
+        # a pivot with U_jj^2 <= n eps S_jj: S is singular to working
+        # precision, though potrf accepted it on roundoff (Higham, 2002,
+        # ch. 10)
+        pivots = U.diagonal()
+        if info or np.any(pivots * pivots <= n * np.finfo(float).eps * diag):
+            # U overwrote S; an indefinite S is not convex, as on the pg route
+            _spectrum(_normal_matrix(A, beta, H), n)
+            raise SingularSystemError("normal matrix H + beta*A'A is singular")
+        rhs = np.empty((n, m + 1), order="F")
+        np.multiply(A.T, beta, out=rhs[:, :m])
+        np.negative(c, out=rhs[:, m])
+        lapack.dpotrs(U, rhs, overwrite_b=1)
+        # C-ordered copies, made once S is freed, so the peak holds two
+        # of S, rhs and K at most, and the plan keeps no rhs
+        del S, U, pivots
+        K, x_c = np.ascontiguousarray(rhs[:, :m]), rhs[:, m].copy()
 
         def solve_exact(req, inner_tol, x0):
             x = K.dot(np.asarray(req.v, dtype=float)) + x_c
@@ -260,6 +269,24 @@ def compile_block(block, beta) -> BlockPlan:
         return x, image(x)
 
     return BlockPlan("pg", solve_pg)
+
+
+def _lapack():
+    """scipy's LAPACK wrappers, imported on first use: importing
+    ``scipy.linalg`` takes about 0.2 s, which ``import pcadmm`` and a
+    problem with no Cholesky solve never pay."""
+    from scipy.linalg import lapack
+
+    return lapack
+
+
+def _normal_matrix(A, beta, H):
+    """S = H + beta A'A, formed in place (H None means zero)."""
+    S = A.T @ A
+    S *= beta
+    if H is not None:
+        S += H
+    return S
 
 
 def _spectrum(S, n):
@@ -299,9 +326,9 @@ def _prox_step(lip, grad, tau, project, x):
 class _FreeSetFactor:
     """The free set F of a Newton solve's last step, as the key
     ``free.tobytes()``, and F's factor: inv(S_FF) when ``inverse`` (see
-    ``INVERSE_COND``; ``w`` is S's ascending spectrum), else S_FF.  Both
-    sit in one tuple, ``last``, so a reader never pairs a key with
-    another set's factor."""
+    ``INVERSE_COND``; ``w`` is S's ascending spectrum), else potrf's
+    Cholesky factor of S_FF.  Both sit in one tuple, ``last``, so a
+    reader never pairs a key with another set's factor."""
 
     __slots__ = ("inverse", "last")
 
@@ -321,19 +348,21 @@ def _active_set_newton(S, lip, r, project, inner_tol, x0, cache=None):
     the method, because roundoff can flip weakly active coordinates
     forever.  When the step has no negative coordinate, the clipped
     step is the step, and the test reuses its mu as the gradient.
-    Returns None after 2n + 2 steps without a certified point, or at
-    the first step whose test is NaN (r not finite).
+    Returns None after 2n + 2 steps without a certified point, at the
+    first step whose test is NaN (r not finite), or when potrf finds an
+    S_FF that is not positive definite to working precision.
 
     ``cache`` is the calling plan's :class:`_FreeSetFactor`: a step on
     the free set of the one before, as from a warm start, reuses its
     factor.  That factor is inv(S_FF) only when cond(S) <=
     ``INVERSE_COND``, because an inverse-based solve's residual grows
-    with the condition number; otherwise each step solves S_FF with
-    LU.  Without a cache the same choice is made from S's spectrum, so
-    a direct call returns a plan's bits.
+    with the condition number; otherwise it is S_FF's Cholesky factor,
+    and each step costs one potrs.  Without a cache the same choice is
+    made from S's spectrum, so a direct call returns a plan's bits.
     """
     if cache is None:
         cache = _FreeSetFactor(np.linalg.eigvalsh(S))
+    lapack = None if cache.inverse else _lapack()
     n = r.shape[0]
     x = project(np.zeros(n) if x0 is None else np.asarray(x0, dtype=float))
     active = S.dot(x) - r > lip * x
@@ -346,9 +375,17 @@ def _active_set_newton(S, lip, r, project, inner_tol, x0, cache=None):
             factor = S[free][:, free]
             if cache.inverse:
                 factor = np.linalg.inv(factor)
+            else:
+                # S_FF is a symmetric copy: factor its Fortran view in place
+                factor, info = lapack.dpotrf(factor.T, clean=0, overwrite_a=1)
+                if info:
+                    return None
             cache.last = (key, factor)
         y = np.zeros(n)
-        y[free] = factor.dot(r[free]) if cache.inverse else np.linalg.solve(factor, r[free])
+        if cache.inverse:
+            y[free] = factor.dot(r[free])
+        elif factor.size:  # potrs rejects an empty right-hand side
+            y[free] = lapack.dpotrs(factor, r[free], overwrite_b=1)[0]
         mu = S.dot(y) - r
         active = mu > lip * y
         x = np.maximum(y, 0.0)

@@ -13,6 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 import pcadmm as pc
 from pcadmm import corrector, model, prox
@@ -55,13 +56,17 @@ def test_exact_plan_is_k_at_v_plus_x_c_bit_for_bit(n):
     blk = _exact_block(rng, n, m)
     plan = pc.compile_block(blk, beta)
     assert plan.route == "exact"
-    # the compile's own normal form and solve, with K left a strided view
+    # the compile's own normal form and Cholesky calls; potrs returns a
+    # Fortran-ordered solution, whose K is copied C-ordered as the plan
+    # keeps it, since a product with a Fortran-ordered K sums in another
+    # order
     S = blk.A.T @ blk.A
     S *= beta
     S += blk.theta.H
-    sol = np.linalg.solve(S, np.column_stack([beta * blk.A.T, -blk.theta.c]))
-    K, x_c = sol[:, :m], sol[:, m]
-    assert not K.flags.c_contiguous or m == 1
+    U, _ = lapack.dpotrf(S.T, clean=0, overwrite_a=1)
+    sol, _ = lapack.dpotrs(U, np.column_stack([beta * blk.A.T, -blk.theta.c]))
+    assert sol.flags.f_contiguous
+    K, x_c = np.ascontiguousarray(sol[:, :m]), sol[:, m]
     for v in rng.standard_normal((5, m)):
         x, a = plan.solve(SubproblemRequest(blk.theta, blk.set, blk.A, beta, v), 1e-10, None)
         assert np.array_equal(x, K @ v + x_c)
@@ -100,6 +105,26 @@ def test_an_exact_solve_copies_no_matrix():
     finally:
         tracemalloc.stop()
     assert peak < n * m * 8 / 4
+
+
+def test_an_exact_compile_factors_in_place():
+    # potrf factors S and potrs solves rhs = [beta A' | -c] in their own
+    # storage, so the compile holds S and rhs, then rhs and K: an f2py
+    # copy of S would add n*n*8 bytes (1.28 MB here), and the cholesky
+    # test plus LU solve that this replaced peaked at two copies of S
+    n, m = 400, 150
+    rng = np.random.default_rng(0)
+    blk = _exact_block(rng, n, m)
+    pc.compile_block(blk, 1.0)  # imports scipy.linalg outside the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        plan = pc.compile_block(blk, 1.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert plan.route == "exact"
+    assert peak <= 8 * (n * n + n * (m + 1)) + 64 * 1024 < 2 * 8 * n * n
 
 
 def _parse(fn):

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 import pcadmm as pc
 from pcadmm import prox
@@ -414,6 +420,63 @@ def test_singular_exact_block_fails_when_compiled():
         pc.compile_block(pc.BlockSpec(theta=pc.Quadratic(np.zeros((2, 2)), np.zeros(2)), A=np.array([[1.0, 1.0]])), 1.0)
 
 
+def test_a_singular_block_that_potrf_accepts_fails_when_compiled():
+    # S = A'A = [[2, 2], [2, 2]]: potrf accepts it on roundoff, with a
+    # last pivot of about 2e-8, and the pivot test U_jj^2 <= n eps S_jj
+    # rejects it
+    A = np.ones((2, 2))
+    U, info = lapack.dpotrf(A.T @ A)
+    assert info == 0 and 0 < U[1, 1] ** 2 <= 2 * np.finfo(float).eps * 2
+    blk = pc.BlockSpec(theta=pc.Quadratic(np.zeros((2, 2)), np.zeros(2)), set=pc.Free(), A=A)
+    with pytest.raises(pc.SingularSystemError, match="^normal matrix H \\+ beta\\*A'A is singular$"):
+        pc.compile_block(blk, 1.0)
+
+
+def test_an_ill_conditioned_exact_block_is_solved_to_its_condition():
+    # cond(S) about 1e10 is legal: the block takes the exact route, and
+    # its plan agrees with an LU solve to the accuracy both are owed,
+    # a few n eps cond(S)
+    rng = np.random.default_rng(71)
+    n, m, beta, eps = 12, 4, 1.0, np.finfo(float).eps
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    H = (Q * np.geomspace(1e-10, 1.0, n)) @ Q.T
+    theta = pc.Quadratic((H + H.T) / 2, rng.standard_normal(n))
+    A = 1e-6 * rng.standard_normal((m, n))
+    S = theta.H + beta * A.T @ A
+    cond = np.linalg.cond(S)
+    assert 1e9 < cond < 1e11
+    plan = pc.compile_block(pc.BlockSpec(theta=theta, set=pc.Free(), A=A), beta)
+    assert plan.route == "exact"
+    for v in rng.standard_normal((4, m)):
+        x, _ = plan.solve(SubproblemRequest(theta=theta, set=pc.Free(), A=A, beta=beta, v=v), 1e-10, None)
+        want = np.linalg.solve(S, beta * A.T @ v - theta.c)
+        assert np.linalg.norm(x - want) <= 10 * n * eps * cond * np.linalg.norm(want)
+
+
+def test_importing_pcadmm_imports_no_scipy():
+    # scipy.linalg (about 0.2 s to import) loads with the first Cholesky
+    # solve, and a run on the closed and pg routes needs none
+    code = """
+import sys
+import numpy as np
+import pcadmm as pc
+assert "scipy" not in sys.modules
+blocks = (
+    pc.BlockSpec(theta=pc.Quadratic(np.eye(2), [1.0, -1.0]), set=pc.NonNeg(), A=np.eye(2)),
+    pc.BlockSpec(theta=pc.WeightedL1(0.5), set=pc.Free(), A=-np.eye(2)),
+)
+problem = pc.SeparableProblem(blocks=blocks, b=[1.0, 2.0])
+assert [plan.route for plan in pc.compile_blocks(problem, 1.0)] == ["pg", "closed"]
+result = pc.run(problem, pc.SolverConfig())
+assert result.reason.kind == pc.CONVERGED and "scipy" not in sys.modules
+pc.compile_block(pc.BlockSpec(theta=pc.Quadratic(np.eye(2), np.zeros(2)), set=pc.Free(), A=np.eye(2)), 1.0)
+assert "scipy.linalg" in sys.modules
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("st", [pc.Free(), pc.NonNeg()], ids=["free", "nonneg"])
 def test_an_indefinite_normal_matrix_is_not_convex_on_every_route(st):
     # S = -5I + I'I = -4I, on which the exact route's Cholesky fails too
@@ -467,9 +530,12 @@ def _dense_solve(route, blk, beta, v, inner_tol, x0):
         L = beta * float(A[:, 0] @ A[:, 0])
         x = pc.project_set(pc.prox_shrink(r / L, tau / L), st)
     elif route == "exact":
+        # the compile's Cholesky calls, and K copied C-ordered as the plan
+        # keeps it (a product with a Fortran-ordered K sums in another order)
         m = A.shape[0]
-        sol = np.linalg.solve(S, np.column_stack([beta * A.T, -theta.c]))
-        x = sol[:, :m] @ v + sol[:, m]
+        U, _ = lapack.dpotrf(S.T, clean=0, overwrite_a=1)
+        sol, _ = lapack.dpotrs(U, np.column_stack([beta * A.T, -theta.c]))
+        x = np.ascontiguousarray(sol[:, :m]) @ v + sol[:, m]
     elif isinstance(st, pc.NonNeg):
         x = prox._active_set_newton(S, lip, r - tau, st.project, inner_tol, x0)
         assert x is not None
@@ -570,15 +636,15 @@ def _planted_request(blk, rng, free, x_prev=None):
     return SubproblemRequest(theta=blk.theta, set=blk.set, A=blk.A, beta=1.0, v=v), x_star
 
 
-def _record_calls(monkeypatch, name):
-    # the sizes of the matrices np.linalg.<name> is called with
-    sizes, fn = [], getattr(np.linalg, name)
+def _record_calls(monkeypatch, name, module=np.linalg):
+    # the sizes of the matrices module.<name> is called with
+    sizes, fn = [], getattr(module, name)
 
-    def recorded(a, *args):
+    def recorded(a, *args, **kwargs):
         sizes.append(a.shape[0])
-        return fn(a, *args)
+        return fn(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, name, recorded)
+    monkeypatch.setattr(module, name, recorded)
     return sizes
 
 
@@ -607,6 +673,54 @@ def test_a_warm_started_plan_inverts_once_per_free_set(monkeypatch):
                 assert len(inverted) == before
             x0 = x
     assert len(inverted) >= 3
+
+
+def test_a_warm_started_plan_factors_once_per_free_set(monkeypatch):
+    # the cond(S) > INVERSE_COND side of the test above: a new free set
+    # is factored once by potrf, every step solves with one potrs, and
+    # a direct call without the plan's cache returns the plan's bits
+    rng = np.random.default_rng(47)
+    n, inner_tol = 8, 1e-10
+    blk = _nonneg_block(rng, n, 40.0)
+    plan = pc.compile_block(blk, 1.0)
+    S = _normal_form(blk.theta, blk.A, 1.0, np.zeros(n))[0]
+    lip = np.linalg.eigvalsh(S)[-1]
+    factored = _record_calls(monkeypatch, "dpotrf", lapack)
+    solved = _record_calls(monkeypatch, "dpotrs", lapack)
+    inverted = _record_calls(monkeypatch, "inv")
+    free_sets = [np.arange(n) < 5, np.arange(n) >= 3]
+    req, x_star = _planted_request(blk, rng, free_sets[0])
+    x0 = x_star
+    for free in [*free_sets, free_sets[0]]:
+        for k in range(3):
+            req, x_star = _planted_request(blk, rng, free, x0)
+            before, steps = len(factored), len(solved)
+            x, _ = plan.solve(req, inner_tol, x0)
+            np.testing.assert_allclose(x, x_star, atol=1e-9)
+            if k == 0:
+                assert len(factored) > before and factored[-1] == free.sum()
+            else:
+                assert len(factored) == before
+            assert len(solved) > steps
+            r = _normal_form(blk.theta, blk.A, 1.0, req.v)[2]
+            np.testing.assert_array_equal(prox._active_set_newton(S, lip, r, blk.set.project, inner_tol, x0), x)
+            x0 = x
+    assert inverted == []
+
+
+def test_a_free_set_that_potrf_rejects_falls_back_to_projected_gradient(monkeypatch):
+    # potrf reporting a non-positive pivot on S_FF ends the Newton solve
+    # with no point, and the projected-gradient loop certifies one
+    rng = np.random.default_rng(73)
+    n, inner_tol = 6, 1e-10
+    blk = _nonneg_block(rng, n, 40.0)
+    plan = pc.compile_block(blk, 1.0)
+    monkeypatch.setattr(lapack, "dpotrf", lambda a, **kwargs: (a, 1))
+    req, x_star = _planted_request(blk, rng, np.arange(n) < 4)
+    x, _ = plan.solve(req, inner_tol, None)
+    S, _, r, _ = _normal_form(blk.theta, blk.A, 1.0, req.v)
+    _assert_nonneg_certificate(S, r, 0.0, x, inner_tol, rng)
+    np.testing.assert_allclose(x, x_star, atol=1e-8)
 
 
 @pytest.mark.parametrize("cond", [4.0, 40.0], ids=["inverse", "lu"])
@@ -653,16 +767,19 @@ def test_a_target_with_every_coordinate_active_gives_zero(cond, monkeypatch):
         assert inverted == []
 
 
-def _newton_with_lu(S, lip, r, inner_tol, x0):
-    # the active-set Newton method on the orthant with an LU solve of
-    # S_FF on every step and the certificate's own gradient
+def _newton_with_cholesky(S, lip, r, inner_tol, x0):
+    # the active-set Newton method on the orthant with a fresh Cholesky
+    # factor of S_FF on every step and the certificate's own gradient
     n = r.shape[0]
     x = np.maximum(np.zeros(n) if x0 is None else x0, 0.0)
     active = S @ x - r > lip * x
     for _ in range(2 * n + 2):
         free = ~active
         y = np.zeros(n)
-        y[free] = np.linalg.solve(S[free][:, free], r[free])
+        if free.any():
+            U, info = lapack.dpotrf(S[free][:, free].T, clean=0, overwrite_a=1)
+            assert info == 0
+            y[free] = lapack.dpotrs(U, r[free])[0]
         active = S @ y - r > lip * y
         x = np.maximum(y, 0.0)
         step = np.maximum(x - (1.0 / lip) * (S @ x - r), 0.0)
@@ -673,7 +790,8 @@ def _newton_with_lu(S, lip, r, inner_tol, x0):
 
 def test_an_ill_conditioned_block_keeps_the_lu_solve(monkeypatch):
     # cond(S) > INVERSE_COND: a plan's warm-started answers are the bits
-    # of an LU solve on every step, and nothing is inverted
+    # of a fresh Cholesky solve of S_FF on every step, and nothing is
+    # inverted
     rng = np.random.default_rng(61)
     n, m, beta, inner_tol = 10, 4, 1.3, 1e-10
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -687,7 +805,7 @@ def test_an_ill_conditioned_block_keeps_the_lu_solve(monkeypatch):
         w = np.linalg.eigvalsh(S)
         assert w[-1] > prox.INVERSE_COND * w[0]
         x, _ = plan.solve(SubproblemRequest(theta=theta, set=pc.NonNeg(), A=A, beta=beta, v=v), inner_tol, x0)
-        want = _newton_with_lu(S, lip, r, inner_tol, x0)
+        want = _newton_with_cholesky(S, lip, r, inner_tol, x0)
         assert want is not None and 0 < np.count_nonzero(want) < n
         np.testing.assert_array_equal(x, want)
         x0 = x
@@ -703,7 +821,10 @@ def test_newton_stops_at_the_first_non_finite_step(cond, bad, monkeypatch):
     n, inner_tol = 6, 1e-10
     blk = _nonneg_block(rng, n, cond)
     plan = pc.compile_block(blk, 1.0)
-    steps = _record_calls(monkeypatch, "inv" if cond <= prox.INVERSE_COND else "solve")
+    if cond <= prox.INVERSE_COND:
+        steps = _record_calls(monkeypatch, "inv")
+    else:
+        steps = _record_calls(monkeypatch, "dpotrs", lapack)
     v = rng.standard_normal(n)
     v[2] = bad
     with np.errstate(invalid="ignore", over="ignore"):

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 import pcadmm as pc
 from pcadmm.solver import CSV_COLUMNS
@@ -78,8 +79,9 @@ def test_subproblem_failure_aborts_with_partial_log():
 
 def test_singular_exact_block_that_passes_cholesky_stops_the_run():
     # S = A'A = [[2, 2], [2, 2]] is singular, yet cholesky may accept it
-    # on roundoff (last pivot about 2e-8); the solve that follows must
-    # then end the run with subproblem_failure, not a raw LinAlgError
+    # on roundoff (last pivot about 2e-8); the compile's pivot test
+    # rejects it, so the run ends with subproblem_failure before its
+    # first iteration, not with a raw LinAlgError or a wrong answer
     prob = pc.SeparableProblem(
         blocks=(pc.BlockSpec(theta=pc.Quadratic(np.zeros((2, 2)), np.zeros(2)), set=pc.Free(), A=np.ones((2, 2))),),
         b=[0.0, 0.0],
@@ -624,10 +626,13 @@ def nonneg_qp(seed):
 
 @pytest.mark.parametrize("max_iters", [3, 2000])
 def test_run_sets_up_each_block_once(monkeypatch, max_iters):
-    calls = {"cholesky": 0, "eigvalsh": 0}
+    # the exact blocks' Cholesky factorizations and the pg blocks'
+    # spectra; both pg blocks have cond(S) <= INVERSE_COND, so their
+    # Newton solves factor nothing with potrf
+    calls = {"dpotrf": 0, "eigvalsh": 0}
 
-    def counting(name):
-        original = getattr(np.linalg, name)
+    def counting(module, name):
+        original = getattr(module, name)
 
         def counted(*args, **kwargs):
             calls[name] += 1
@@ -635,12 +640,12 @@ def test_run_sets_up_each_block_once(monkeypatch, max_iters):
 
         return counted
 
-    for name in calls:
-        monkeypatch.setattr(np.linalg, name, counting(name))
+    for module, name in ((lapack, "dpotrf"), (np.linalg, "eigvalsh")):
+        monkeypatch.setattr(module, name, counting(module, name))
     result = pc.run(nonneg_qp(3), pc.SolverConfig(max_iters=max_iters))
     assert result.reason.kind == (pc.MAX_ITERS if max_iters == 3 else pc.CONVERGED)
     assert len(result.log) >= 3
-    assert calls == {"cholesky": 2, "eigvalsh": 2}
+    assert calls == {"dpotrf": 2, "eigvalsh": 2}
 
 
 def _hand_loop(prob, config):
