@@ -52,7 +52,6 @@ __all__ = [
     "SolverConfig",
     "validate_problem",
     "objective_value",
-    "lagrangian_value",
     "feasibility_residual",
     "problem_to_json",
     "problem_from_json",
@@ -421,21 +420,6 @@ def objective_value(problem: SeparableProblem, x) -> float:
     """sum_i theta_i(x_i) for a list of block vectors."""
     x = _block_vectors(problem, x)
     return float(sum([blk.theta.value(xi) for blk, xi in zip(problem.blocks, x)]))
-
-
-def lagrangian_value(problem: SeparableProblem, x, lam) -> float:
-    """L(x, lam) = sum_i theta_i(x_i) - lam'(sum_i A_i x_i - b).
-
-    Set membership is not penalized here (it is enforced by the
-    subproblem solvers); the value stays finite for diagnostics even at
-    set-infeasible points.
-    """
-    x = _block_vectors(problem, x)
-    lam = _as_vector(lam, "lam")
-    if lam.size != problem.m:
-        raise ValueError(f"lam has length {lam.size}, expected {problem.m}")
-    r = sum(blk.A @ xi for blk, xi in zip(problem.blocks, x)) - problem.b
-    return objective_value(problem, x) - float(lam @ r)
 
 
 def feasibility_residual(problem: SeparableProblem, a, lam):

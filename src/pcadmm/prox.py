@@ -45,14 +45,6 @@ MAX_INNER_ITERS = 200_000
 # under inner_tol even for probe points a moderate distance away.
 GAP_FRACTION = 0.04
 
-# The largest condition number w[-1]/w[0] of S for which the Newton solve
-# keeps inv(S_FF) and applies it with one product.  A solve through an
-# explicit inverse is not backward stable: its residual, which the
-# certificate tests, grows with the condition number (Higham, Accuracy
-# and Stability of Numerical Algorithms, 2002, ch. 14).  By Cauchy
-# interlacing cond(S_FF) <= cond(S), so the bound holds for every F.
-INVERSE_COND = 10.0
-
 
 class SubproblemError(Exception):
     """A block subproblem could not be set up or solved."""
@@ -142,8 +134,7 @@ def compile_block(block, beta) -> BlockPlan:
       U_jj^2 <= n eps S_jj (S singular to working precision, though
       potrf accepted it on roundoff), raises :class:`NonConvexError` by
       the pg route's test below on a rebuilt S, else
-      :class:`SingularSystemError`.  ``scipy.linalg`` is imported here,
-      at the first such compile, not with the package;
+      :class:`SingularSystemError`;
     * anything else, route ``pg``: the spectrum w of S is computed once;
       an eigenvalue below -delta*max|w| (delta = 1e-12*n) raises
       :class:`NonConvexError`, and lip = w[-1] is kept.  On ``NonNeg``
@@ -153,14 +144,12 @@ def compile_block(block, beta) -> BlockPlan:
       ``x0``.  Either way the point returned has a gradient-map norm
       safely below ``inner_tol``, or is all NaN when r is not finite.
       The plan keeps the free set of its last Newton step and that
-      set's factor, so a warm-started step on the same free set copies
-      no sub-matrix of S.  The factor is inv(S_FF), applied with one
-      product, only when lip <= ``INVERSE_COND`` * w[0]: a solve through
-      an inverse is not backward stable, and its residual, which the
-      certificate tests, grows with cond(S_FF) <= cond(S).  Otherwise
-      the factor is S_FF's potrf Cholesky factor and each step solves
-      with it by one potrs, as a direct :func:`_active_set_newton` call
-      does.
+      set's potrf Cholesky factor, so a warm-started step on the same
+      free set copies and factors no sub-matrix of S, and solves with
+      one potrs.
+
+    ``scipy.linalg`` is imported at the first exact or Newton-route
+    compile, not with the package.
 
     Every built-in route raises :class:`SubproblemError` when S (L on
     the closed route) is not finite, as from finite data whose products
@@ -254,7 +243,7 @@ def compile_block(block, beta) -> BlockPlan:
     w, delta = _spectrum(S, n)
     lip = float(w[-1])
     newton = isinstance(set_spec, NonNeg) and w[0] > delta * lip
-    cache = _FreeSetFactor(w) if newton else None
+    cache = _FreeSetFactor() if newton else None
 
     def solve_pg(req, inner_tol, x0):
         r = target(req.v)
@@ -325,15 +314,16 @@ def _prox_step(lip, grad, tau, project, x):
 
 class _FreeSetFactor:
     """The free set F of a Newton solve's last step, as the key
-    ``free.tobytes()``, and F's factor: inv(S_FF) when ``inverse`` (see
-    ``INVERSE_COND``; ``w`` is S's ascending spectrum), else potrf's
-    Cholesky factor of S_FF.  Both sit in one tuple, ``last``, so a
-    reader never pairs a key with another set's factor."""
+    ``free.tobytes()``, and potrf's Cholesky factor of S_FF, in one
+    tuple, ``last``, so a reader never pairs a key with another set's
+    factor.  LAPACK's ``dpotrf`` and ``dpotrs`` are bound here, once per
+    plan, not looked up on every solve."""
 
-    __slots__ = ("inverse", "last")
+    __slots__ = ("potrf", "potrs", "last")
 
-    def __init__(self, w):
-        self.inverse = bool(w[-1] <= INVERSE_COND * w[0])
+    def __init__(self):
+        lapack = _lapack()
+        self.potrf, self.potrs = lapack.dpotrf, lapack.dpotrs
         self.last = (None, None)
 
 
@@ -352,17 +342,16 @@ def _active_set_newton(S, lip, r, project, inner_tol, x0, cache=None):
     first step whose test is NaN (r not finite), or when potrf finds an
     S_FF that is not positive definite to working precision.
 
+    Each new free set F is factored once by potrf, on the Fortran view
+    of the copy S_FF, and each step solves with the factor by one potrs.
     ``cache`` is the calling plan's :class:`_FreeSetFactor`: a step on
     the free set of the one before, as from a warm start, reuses its
-    factor.  That factor is inv(S_FF) only when cond(S) <=
-    ``INVERSE_COND``, because an inverse-based solve's residual grows
-    with the condition number; otherwise it is S_FF's Cholesky factor,
-    and each step costs one potrs.  Without a cache the same choice is
-    made from S's spectrum, so a direct call returns a plan's bits.
+    factor.  A direct call without one starts from an empty cache, so
+    it returns a plan's bits.
     """
     if cache is None:
-        cache = _FreeSetFactor(np.linalg.eigvalsh(S))
-    lapack = None if cache.inverse else _lapack()
+        cache = _FreeSetFactor()
+    potrf, potrs = cache.potrf, cache.potrs
     n = r.shape[0]
     x = project(np.zeros(n) if x0 is None else np.asarray(x0, dtype=float))
     active = S.dot(x) - r > lip * x
@@ -372,20 +361,16 @@ def _active_set_newton(S, lip, r, project, inner_tol, x0, cache=None):
         key = free.tobytes()
         last_key, factor = cache.last
         if key != last_key:
-            factor = S[free][:, free]
-            if cache.inverse:
-                factor = np.linalg.inv(factor)
-            else:
-                # S_FF is a symmetric copy: factor its Fortran view in place
-                factor, info = lapack.dpotrf(factor.T, clean=0, overwrite_a=1)
-                if info:
-                    return None
+            # S_FF is a symmetric copy: factor its Fortran view in place
+            factor, info = potrf(S[free][:, free].T, clean=0, overwrite_a=1)
+            if info:
+                return None
             cache.last = (key, factor)
         y = np.zeros(n)
-        if cache.inverse:
-            y[free] = factor.dot(r[free])
-        elif factor.size:  # potrs rejects an empty right-hand side
-            y[free] = lapack.dpotrs(factor, r[free], overwrite_b=1)[0]
+        if factor.size:  # potrs rejects an empty right-hand side
+            # (lower=0, overwrite_b=1) by position: f2py parses keywords
+            # in about 0.3 us, a fifth of the call at n = 24
+            y[free] = potrs(factor, r[free], 0, 1)[0]
         mu = S.dot(y) - r
         active = mu > lip * y
         x = np.maximum(y, 0.0)

@@ -260,49 +260,6 @@ def test_validate_accepts_a_scaled_symmetric_quadratic(scale):
     assert any("symmetric" in v for v in pc.validate_problem(prob))
 
 
-def test_lagrangian_hand_value():
-    # p=1, theta = x^2/2, A = [1], b = [1]: L(2, 3) = 2 - 3*(2 - 1) = -1
-    prob = pc.SeparableProblem(
-        blocks=(pc.BlockSpec(theta=pc.Quadratic([[1.0]], [0.0]), set=pc.Free(), A=[[1.0]]),),
-        b=[1.0],
-    )
-    assert pc.lagrangian_value(prob, [np.array([2.0])], np.array([3.0])) == pytest.approx(-1.0)
-
-
-def test_lagrangian_zero_theta_feasible():
-    prob = pc.SeparableProblem(
-        blocks=(pc.BlockSpec(theta=pc.Zero(), set=pc.Free(), A=[[1.0]]),),
-        b=[2.0],
-    )
-    assert pc.lagrangian_value(prob, [np.array([2.0])], np.zeros(1)) == 0.0
-
-
-def test_lagrangian_saddle_equals_objective():
-    prob, ref = pc.gen_eq_qp(2, [4, 3], 2, seed=5)
-    val = pc.lagrangian_value(prob, ref.x, ref.lam)
-    assert val == pytest.approx(ref.objective, abs=1e-9)
-
-
-def test_lagrangian_affine_in_multiplier():
-    rng = np.random.default_rng(3)
-    prob = two_block_problem()
-    for _ in range(20):
-        x = [rng.standard_normal(2), rng.standard_normal(2)]
-        l1, l2 = rng.standard_normal(1), rng.standard_normal(1)
-        alpha = rng.uniform()
-        mix = pc.lagrangian_value(prob, x, alpha * l1 + (1 - alpha) * l2)
-        expect = alpha * pc.lagrangian_value(prob, x, l1) + (1 - alpha) * pc.lagrangian_value(prob, x, l2)
-        assert mix == pytest.approx(expect, abs=1e-12)
-
-
-def test_lagrangian_dimension_mismatch():
-    prob = two_block_problem()
-    with pytest.raises(ValueError):
-        pc.lagrangian_value(prob, [np.zeros(2)], np.zeros(1))
-    with pytest.raises(ValueError):
-        pc.lagrangian_value(prob, [np.zeros(2), np.zeros(3)], np.zeros(1))
-
-
 def _violations(*blocks):
     return pc.validate_problem(pc.SeparableProblem(blocks=blocks, b=[0.0]))
 
@@ -348,10 +305,6 @@ MESSAGES = {
     ),
     "residual-lam": (
         lambda: _error(pc.feasibility_residual, two_block_problem(), np.zeros((2, 1)), np.zeros(2)),
-        "lam has length 2, expected 1",
-    ),
-    "lagrangian-lam": (
-        lambda: _error(pc.lagrangian_value, two_block_problem(), [np.zeros(2), np.zeros(2)], np.zeros(2)),
         "lam has length 2, expected 1",
     ),
 }

@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import lapack
 
 import pcadmm as pc
+from pcadmm import prox
 from pcadmm.solver import CSV_COLUMNS
 
 
@@ -627,25 +628,36 @@ def nonneg_qp(seed):
 @pytest.mark.parametrize("max_iters", [3, 2000])
 def test_run_sets_up_each_block_once(monkeypatch, max_iters):
     # the exact blocks' Cholesky factorizations and the pg blocks'
-    # spectra; both pg blocks have cond(S) <= INVERSE_COND, so their
-    # Newton solves factor nothing with potrf
-    calls = {"dpotrf": 0, "eigvalsh": 0}
+    # spectra; potrf calls made inside the pg blocks' Newton solves, on
+    # their free sets' S_FF, are counted apart
+    calls = {"dpotrf": 0, "eigvalsh": 0, "newton": 0}
+    in_newton = []
 
     def counting(module, name):
         original = getattr(module, name)
 
         def counted(*args, **kwargs):
-            calls[name] += 1
+            calls["newton" if in_newton and name == "dpotrf" else name] += 1
             return original(*args, **kwargs)
 
         return counted
 
+    def newton(*args):
+        in_newton.append(True)
+        try:
+            return solve(*args)
+        finally:
+            in_newton.pop()
+
     for module, name in ((lapack, "dpotrf"), (np.linalg, "eigvalsh")):
         monkeypatch.setattr(module, name, counting(module, name))
+    solve = prox._active_set_newton
+    monkeypatch.setattr(prox, "_active_set_newton", newton)
     result = pc.run(nonneg_qp(3), pc.SolverConfig(max_iters=max_iters))
     assert result.reason.kind == (pc.MAX_ITERS if max_iters == 3 else pc.CONVERGED)
     assert len(result.log) >= 3
-    assert calls == {"dpotrf": 2, "eigvalsh": 2}
+    assert calls["dpotrf"] == 2 and calls["eigvalsh"] == 2
+    assert calls["newton"] >= 2
 
 
 def _hand_loop(prob, config):
