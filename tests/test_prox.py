@@ -646,40 +646,49 @@ def _record_calls(monkeypatch, name, module=np.linalg):
     return sizes
 
 
-def test_a_warm_started_plan_factors_once_per_free_set(monkeypatch):
+def _assert_factors_once_per_free_set(monkeypatch, cond):
     # targets in runs of three sharing an optimal free set, each solve
     # warm-started from the last answer: only the first solve of a run
     # meets a new free set (the plan's first solve, an empty cache), so
     # only it factors S_FF with potrf, every step solves with one potrs,
-    # and a direct call without the plan's cache returns the plan's bits;
-    # on a well- and an ill-conditioned S
+    # and a direct call without the plan's cache returns the plan's bits
     n, inner_tol = 8, 1e-10
     # the plan binds potrf and potrs at compile, so record them first
     factored = _record_calls(monkeypatch, "dpotrf", lapack)
     solved = _record_calls(monkeypatch, "dpotrs", lapack)
-    for cond in (4.0, 40.0):
-        rng = np.random.default_rng(47)
-        blk = _nonneg_block(rng, n, cond)
-        S = _normal_form(blk.theta, blk.A, 1.0, np.zeros(n))[0]
-        lip = np.linalg.eigvalsh(S)[-1]
-        plan = pc.compile_block(blk, 1.0)
-        free_sets = [np.arange(n) < 5, np.arange(n) >= 3]
-        req, x_star = _planted_request(blk, rng, free_sets[0])
-        x0 = x_star
-        for free in [*free_sets, free_sets[0]]:
-            for k in range(3):
-                req, x_star = _planted_request(blk, rng, free, x0)
-                before, steps = len(factored), len(solved)
-                x, _ = plan.solve(req, inner_tol, x0)
-                np.testing.assert_allclose(x, x_star, atol=1e-9)
-                if k == 0:
-                    assert len(factored) > before and factored[-1] == free.sum()
-                else:
-                    assert len(factored) == before
-                assert len(solved) > steps
-                r = _normal_form(blk.theta, blk.A, 1.0, req.v)[2]
-                np.testing.assert_array_equal(prox._active_set_newton(S, lip, r, blk.set.project, inner_tol, x0), x)
-                x0 = x
+    rng = np.random.default_rng(47)
+    blk = _nonneg_block(rng, n, cond)
+    S = _normal_form(blk.theta, blk.A, 1.0, np.zeros(n))[0]
+    lip = np.linalg.eigvalsh(S)[-1]
+    plan = pc.compile_block(blk, 1.0)
+    free_sets = [np.arange(n) < 5, np.arange(n) >= 3]
+    req, x_star = _planted_request(blk, rng, free_sets[0])
+    x0 = x_star
+    for free in [*free_sets, free_sets[0]]:
+        for k in range(3):
+            req, x_star = _planted_request(blk, rng, free, x0)
+            before, steps = len(factored), len(solved)
+            x, _ = plan.solve(req, inner_tol, x0)
+            np.testing.assert_allclose(x, x_star, atol=1e-9)
+            if k == 0:
+                assert len(factored) > before and factored[-1] == free.sum()
+            else:
+                assert len(factored) == before
+            assert len(solved) > steps
+            r = _normal_form(blk.theta, blk.A, 1.0, req.v)[2]
+            np.testing.assert_array_equal(prox._active_set_newton(S, lip, r, blk.set.project, inner_tol, x0), x)
+            x0 = x
+
+
+def test_a_warm_started_plan_inverts_once_per_free_set(monkeypatch):
+    # cond(S) = 4, where a plan once kept inv(S_FF): S_FF is now inverted
+    # through its potrf factor, made once per free set
+    _assert_factors_once_per_free_set(monkeypatch, 4.0)
+
+
+def test_a_warm_started_plan_factors_once_per_free_set(monkeypatch):
+    # the same on an ill-conditioned S, cond(S) = 40
+    _assert_factors_once_per_free_set(monkeypatch, 40.0)
 
 
 def test_a_free_set_that_potrf_rejects_falls_back_to_projected_gradient(monkeypatch):
