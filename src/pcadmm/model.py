@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -313,16 +313,22 @@ class IterateState:
 @dataclass(frozen=True)
 class PredictorState:
     """Output of one prediction sweep: primal blocks, their aggregates
-    as a (p, m) array, and the predicted multiplier."""
+    as a (p, m) array, and the predicted multiplier.  ``theta_tilde``
+    is the (p,) array of theta_i(x~_i) as the sweep's plans computed
+    them (on the exact route from the normal equations, equal to
+    ``theta.value`` to roundoff), or None, as in a state built by hand."""
 
     x_tilde: tuple
     a_tilde: np.ndarray
     lambda_tilde: np.ndarray
+    theta_tilde: Optional[np.ndarray] = None
 
     def __post_init__(self):
         object.__setattr__(self, "x_tilde", tuple(np.asarray(x, dtype=float) for x in self.x_tilde))
         object.__setattr__(self, "a_tilde", _as_aggregates(self.a_tilde, "a_tilde"))
         object.__setattr__(self, "lambda_tilde", _as_vector(self.lambda_tilde, "lambda_tilde"))
+        if self.theta_tilde is not None:
+            object.__setattr__(self, "theta_tilde", _as_vector(self.theta_tilde, "theta_tilde"))
 
 
 @dataclass(frozen=True)
@@ -416,8 +422,19 @@ def validate_problem(problem: SeparableProblem) -> list:
     return out
 
 
-def objective_value(problem: SeparableProblem, x) -> float:
-    """sum_i theta_i(x_i) for a list of block vectors."""
+def objective_value(problem: SeparableProblem, x, values=None) -> float:
+    """sum_i theta_i(x_i) for a list of block vectors.
+
+    ``values``, when given, are the blocks' theta_i(x_i) as a sweep
+    reported them (``PredictorState.theta_tilde``): they are summed in
+    block order and x is not read, so exact blocks contribute their
+    normal-equation values, equal to ``theta.value`` to roundoff.
+    """
+    if values is not None:
+        values = _as_vector(values, "values")
+        if values.size != problem.p:
+            raise ValueError(f"expected {problem.p} block values, got {values.size}")
+        return float(sum(values.tolist()))
     x = _block_vectors(problem, x)
     return float(sum([blk.theta.value(xi) for blk, xi in zip(problem.blocks, x)]))
 

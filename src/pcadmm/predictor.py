@@ -46,7 +46,8 @@ def _predict(variant, problem, state, beta, inner_tol, warm_start, plans):
     For ``"dp"`` the multiplier moves first, from the current
     aggregates.  Block i then minimizes theta_i(x) + (beta/2)||A_i x - v_i||^2
     with v_i = a_i - sum_{j<i}(a~_j - a_j) + lam/beta, which only needs
-    the aggregates, never the raw primal blocks.  For ``"pd"`` the
+    the aggregates, never the raw primal blocks, and its plan's
+    ``value`` gives theta_i at the point found.  For ``"pd"`` the
     multiplier moves last, from the predicted aggregates.
     """
     a, lam = state.a, state.lam
@@ -57,23 +58,26 @@ def _predict(variant, problem, state, beta, inner_tol, warm_start, plans):
     if variant == "dp":
         lam = solve_lambda_subproblem(lam, a.sum(axis=0) - problem.b, beta, problem.sense)
     if plans is None:
-        plans = (None,) * problem.p
-    x_tilde, a_tilde = [], np.empty_like(a)
+        plans = compile_blocks(problem, beta)
+    x_tilde, theta_tilde, a_tilde = [], [], np.empty_like(a)
     drift = np.zeros(problem.m)
     shift = lam / beta
     for i, blk in enumerate(problem.blocks):
-        req = SubproblemRequest(blk.theta, blk.set, blk.A, beta, a[i] - drift + shift, blk.ortho_scaled, plans[i])
+        plan, v = plans[i], a[i] - drift + shift
+        req = SubproblemRequest(blk.theta, blk.set, blk.A, beta, v, blk.ortho_scaled, plan)
         x0 = warm_start[i] if warm_start is not None else None
         try:
             xi, ai = solve_block_subproblem(req, inner_tol, x0=x0)
         except SubproblemError as e:
             raise type(e)(f"block {i}: {e}") from e
         x_tilde.append(xi)
+        theta_tilde.append(plan.value(xi, v, ai))
         a_tilde[i] = ai
         drift += ai - a[i]
     if variant == "pd":
         lam = solve_lambda_subproblem(lam, a_tilde.sum(axis=0) - problem.b, beta, problem.sense)
-    return _trusted(PredictorState, x_tilde=tuple(x_tilde), a_tilde=a_tilde, lambda_tilde=lam)
+    theta_tilde = np.array(theta_tilde, dtype=float)
+    return _trusted(PredictorState, x_tilde=tuple(x_tilde), a_tilde=a_tilde, lambda_tilde=lam, theta_tilde=theta_tilde)
 
 
 def predict_pd(
@@ -87,10 +91,12 @@ def predict_pd(
     """Primal-first prediction sweep: blocks 1..p with the incoming
     multiplier, then the multiplier from the predicted aggregates.
     ``plans`` are the blocks' :func:`compile_blocks` plans for this
-    ``beta``; without them :func:`~pcadmm.prox.solve_block_subproblem`
-    compiles each block, and re-derives its ``ortho_scaled`` from A, on
-    each call, so a caller that loops should pass
-    ``plans=compile_blocks(problem, beta)``, built once."""
+    ``beta``; without them the sweep calls :func:`compile_blocks` itself,
+    on each call, so a caller that loops should pass
+    ``plans=compile_blocks(problem, beta)``, built once.  The result's
+    ``theta_tilde`` holds each block's theta at its point, from its
+    plan's ``value``: on the exact route from the normal equations, so
+    it agrees with ``theta.value`` to roundoff."""
     return _predict("pd", problem, state, beta, inner_tol, warm_start, plans)
 
 

@@ -8,7 +8,8 @@ solves anything.  A built-in atom turns it into the normal form
 min 0.5 x'Sx - r'x + tau||x||_1 over X, which a closed form, an exact
 solve or a projected-gradient loop then minimizes.  The route and the
 setup that does not depend on v are fixed once per block by
-:func:`compile_block`.  Every product a solve makes calls ``ndarray.dot``
+:func:`compile_block`, which also gives each block's theta at the points
+its solve returns.  Every product a solve makes calls ``ndarray.dot``
 on a contiguous operand (A, A', S, the exact route's K), not ``@``: the
 bits are the same, the matmul ufunc's dispatch is not free at small n,
 and ``dot`` would copy a strided operand on every call.
@@ -88,10 +89,15 @@ class SubproblemRequest(NamedTuple):
 
 class BlockPlan(NamedTuple):
     """A block's solve with its setup done once: ``solve(req,
-    inner_tol, x0)`` returns ``(x, A x)`` for the target ``req.v``."""
+    inner_tol, x0)`` returns ``(x, A x)`` for the target ``req.v``, and
+    ``value(x, v, ax)`` returns theta(x) at such a point, given the v
+    and A x of its solve.  The exact route computes it from the normal
+    equations, which agrees with ``theta.value(x)`` to roundoff, not bit
+    for bit; every other route returns ``theta.value(x)``."""
 
     route: str
     solve: Callable
+    value: Callable
 
 
 def prox_shrink(v, tau):
@@ -134,7 +140,9 @@ def compile_block(block, beta) -> BlockPlan:
       U_jj^2 <= n eps S_jj (S singular to working precision, though
       potrf accepted it on roundoff), raises :class:`NonConvexError` by
       the pg route's test below on a rebuilt S, else
-      :class:`SingularSystemError`;
+      :class:`SingularSystemError`.  Its ``value`` is theta(x) =
+      beta/2 a'(v - a) + c'x/2 with a = A x, from H x = beta A'(v - a) - c:
+      two dots of length m and n instead of a product with the n x n H;
     * anything else, route ``pg``: the spectrum w of S is computed once;
       an eigenvalue below -delta*max|w| (delta = 1e-12*n) raises
       :class:`NonConvexError`, and lip = w[-1] is kept.  On ``NonNeg``
@@ -169,6 +177,10 @@ def compile_block(block, beta) -> BlockPlan:
         image = adjoint = A.diagonal().copy().__mul__
     else:
         image, adjoint = A.dot, A.T.dot
+
+    def value(x, v, ax):
+        return theta.value(x)
+
     if isinstance(theta, Custom):
 
         def solve_custom(req, inner_tol, x0):
@@ -177,7 +189,7 @@ def compile_block(block, beta) -> BlockPlan:
                 raise SubproblemError(f"custom solve returned shape {x.shape}, expected {(n,)}")
             return x, image(x)
 
-        return BlockPlan("custom", solve_custom)
+        return BlockPlan("custom", solve_custom, value)
 
     parts = getattr(theta, "parts", None)
     if parts is None:
@@ -205,7 +217,7 @@ def compile_block(block, beta) -> BlockPlan:
             x = project(prox_shrink(z, tau_L) if tau else z)
             return x, image(x)
 
-        return BlockPlan("closed", solve_closed)
+        return BlockPlan("closed", solve_closed, value)
 
     S = _normal_matrix(A, beta, H)
     if not _finite(S):
@@ -238,7 +250,11 @@ def compile_block(block, beta) -> BlockPlan:
             x = K.dot(np.asarray(req.v, dtype=float)) + x_c
             return x, image(x)
 
-        return BlockPlan("exact", solve_exact)
+        def value_exact(x, v, ax):
+            # S x = beta A'v - c gives H x = beta A'(v - A x) - c
+            return float(0.5 * beta * ax.dot(v - ax) + 0.5 * c.dot(x))
+
+        return BlockPlan("exact", solve_exact, value_exact)
 
     w, delta = _spectrum(S, n)
     lip = float(w[-1])
@@ -257,7 +273,7 @@ def compile_block(block, beta) -> BlockPlan:
             x = _projected_gradient(S, lip, r, tau, project, inner_tol, x0)
         return x, image(x)
 
-    return BlockPlan("pg", solve_pg)
+    return BlockPlan("pg", solve_pg, value)
 
 
 def _lapack():

@@ -233,7 +233,7 @@ def run(
 
             gap = _norm(xi_k - xi_t)
             primal, compl = feasibility_residual(problem, pred.a_tilde, pred.lambda_tilde)
-            obj = objective_value(problem, pred.x_tilde)
+            obj = objective_value(problem, pred.x_tilde, pred.theta_tilde)
             dist = None
             if reference is not None:
                 q = kron_form(H, (xi_k - xi_ref).reshape(problem.p + 1, problem.m))

@@ -153,8 +153,23 @@ HOT_TREES.update((f"pcadmm.prox.compile_block.{node.name}", node) for node in _c
 
 
 def test_the_lint_sees_every_solve_closure():
-    closures = {"target", "solve_custom", "solve_closed", "solve_exact", "solve_pg"}
+    closures = {"target", "value", "solve_custom", "solve_closed", "solve_exact", "value_exact", "solve_pg"}
     assert {f"pcadmm.prox.compile_block.{name}" for name in closures} <= set(HOT_TREES)
+
+
+@pytest.mark.parametrize("variant", ["pd", "dp"])
+def test_an_all_exact_run_makes_no_product_with_h(monkeypatch, variant):
+    # exact blocks report theta from their normal equations, so the
+    # logged objective never calls Quadratic.value and its n^2 product
+    prob = pc.gen_eq_qp(3, [10, 20, 5], 4, seed=9)[0]
+    assert {plan.route for plan in pc.compile_blocks(prob, 1.0)} == {"exact"}
+    calls = []
+    value = model.Quadratic.value
+    monkeypatch.setattr(model.Quadratic, "value", lambda self, x: calls.append(1) or value(self, x))
+    result = pc.run(prob, pc.SolverConfig(variant=variant, max_iters=6))
+    assert len(result.log) == 6 and not calls
+    pc.objective_value(prob, result.solution.x_tilde)
+    assert len(calls) == prob.p  # the counter sees a call
 
 
 def test_compile_block_binds_dot_not_matmul():

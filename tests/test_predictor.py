@@ -161,3 +161,30 @@ def test_sweeps_and_corrections_build_states_in_converted_form():
                 arrays = zip(got, want) if isinstance(got, tuple) else [(got, want)]
                 for g, w in arrays:
                     assert g.dtype == w.dtype == np.float64 and g.shape == w.shape
+
+
+@pytest.mark.parametrize("predict", [pc.predict_pd, pc.predict_dp])
+def test_a_sweep_without_plans_compiles_once_and_matches_one_with_them(predict, monkeypatch):
+    import pcadmm.predictor
+
+    prob, ref = pc.gen_eq_qp(3, [6, 5, 4], 3, seed=5)
+    state = pc.IterateState(np.asarray(ref.a) + 0.1, ref.lam - 0.2)
+    planned = predict(prob, state, 1.3, 1e-10, plans=pc.compile_blocks(prob, 1.3))
+    calls = []
+    compile_blocks = pcadmm.predictor.compile_blocks
+    monkeypatch.setattr(pcadmm.predictor, "compile_blocks", lambda *a: calls.append(1) or compile_blocks(*a))
+    pred = predict(prob, state, 1.3, 1e-10)
+    assert len(calls) == 1
+    for got, want in zip(pred.x_tilde, planned.x_tilde):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(pred.theta_tilde, planned.theta_tilde)
+    assert pred.theta_tilde.shape == (prob.p,)
+
+
+def test_objective_value_sums_given_values_in_block_order():
+    prob = pc.gen_eq_qp(3, [6, 5, 4], 3, seed=5)[0]
+    values = [0.1, 1e17, -1e17]
+    assert pc.objective_value(prob, None, values) == (0.1 + 1e17) - 1e17
+    with pytest.raises(ValueError, match="expected 3 block values, got 2"):
+        pc.objective_value(prob, None, values[:2])
+    assert pc.PredictorState((np.zeros(1),), np.zeros((1, 1)), np.zeros(1)).theta_tilde is None

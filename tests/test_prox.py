@@ -453,6 +453,84 @@ def test_an_ill_conditioned_exact_block_is_solved_to_its_condition():
         assert np.linalg.norm(x - want) <= 10 * n * eps * cond * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("route, blk", PLAN_CASES, ids=PLAN_IDS)
+def test_a_plan_value_is_theta_at_its_solve(route, blk):
+    # every route but exact reports theta.value(x) itself; exact blocks
+    # are held to the normal-equation bound below
+    beta, inner_tol = 1.3, 1e-11
+    plan = pc.compile_block(blk, beta)
+    rng = np.random.default_rng(31)
+    x0 = None
+    for v in rng.standard_normal((4, blk.A.shape[0])):
+        x, ax = plan.solve(SubproblemRequest(blk.theta, blk.set, blk.A, beta, v, plan=plan), inner_tol, x0)
+        got = plan.value(x, v, ax)
+        if route == "exact":
+            assert abs(got - blk.theta.value(x)) <= _exact_value_bound(blk.theta, blk.A, beta, v, x, ax)
+        else:
+            assert got == blk.theta.value(x)
+        x0 = x
+
+
+def _exact_value_bound(theta, A, beta, v, x, ax):
+    # For the computed x, with e = S x - r and r = beta A'v - c,
+    # H x = beta A'(v - A x) - c + e, so the exact route's value is
+    # theta(x) - x'e/2 in exact arithmetic.  The rest is the roundoff of
+    # the dots on both sides and of a = A x, a few ulps of the sum of
+    # their absolute terms.
+    H, c = theta.H, theta.c
+    S = H + beta * A.T @ A
+    r = beta * A.T @ v - c
+    ux, uax = np.abs(x), np.abs(A) @ np.abs(x)
+    terms = ux @ np.abs(H) @ ux + np.abs(c) @ ux + beta * uax @ (np.abs(v) + 2 * uax)
+    terms += ux @ (np.abs(S) @ ux + np.abs(r))
+    return 0.5 * abs(x @ (S @ x - r)) + 4 * np.finfo(float).eps * terms
+
+
+def _exact_value_case(rng, n, m, low=0.5, scale_a=1.0, linear=False, zero_c=False):
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    H = np.zeros((n, n)) if linear else (Q * np.geomspace(low, 3.0, n)) @ Q.T
+    c = np.zeros(n) if zero_c else rng.standard_normal(n)
+    theta = pc.Quadratic((H + H.T) / 2, c)
+    return theta, scale_a * rng.standard_normal((m, n))
+
+
+EXACT_VALUE_CASES = {
+    **{f"n{n}": dict(n=n, m=max(1, n // 2)) for n in (1, 10, 48, 200)},
+    "zero-H-non-ortho": dict(n=6, m=9, linear=True),
+    "zero-c": dict(n=10, m=5, zero_c=True),
+    "cond-1e9": dict(n=12, m=4, low=3e-9, scale_a=1e-6),
+}
+
+
+@pytest.mark.parametrize("case", list(EXACT_VALUE_CASES))
+def test_the_exact_value_agrees_with_theta_to_roundoff(case):
+    kw = EXACT_VALUE_CASES[case]
+    rng = np.random.default_rng(kw["n"])
+    theta, A = _exact_value_case(rng, **kw)
+    beta = 1.3
+    if case == "cond-1e9":
+        assert 3e8 < np.linalg.cond(theta.H + beta * A.T @ A) < 3e9
+    if case == "zero-H-non-ortho":
+        assert theta.linear and not pc.BlockSpec(theta=theta, set=pc.Free(), A=A).ortho_scaled
+    plan = pc.compile_block(pc.BlockSpec(theta=theta, set=pc.Free(), A=A), beta)
+    assert plan.route == "exact"
+    for v in rng.standard_normal((5, A.shape[0])):
+        x, ax = plan.solve(SubproblemRequest(theta, pc.Free(), A, beta, v, plan=plan), 1e-10, None)
+        got = plan.value(x, v, ax)
+        assert abs(got - theta.value(x)) <= _exact_value_bound(theta, A, beta, v, x, ax)
+
+
+@pytest.mark.parametrize("variant", ["pd", "dp"])
+def test_a_run_logs_the_objective_of_its_solution(variant):
+    # the logged objective sums the exact plans' values, not theta.value
+    prob = pc.gen_eq_qp(3, [8, 12, 6], 5, seed=41)[0]
+    result = pc.run(prob, pc.SolverConfig(variant=variant))
+    assert result.reason.kind == pc.CONVERGED
+    want = pc.objective_value(prob, result.solution.x_tilde)
+    assert abs(result.log.objective[-1] - want) <= 1e-12 * abs(want)
+    assert result.log.objective[-1] == pc.objective_value(prob, None, result.solution.theta_tilde)
+
+
 def test_importing_pcadmm_imports_no_scipy():
     # scipy.linalg (about 0.2 s to import) loads with the first exact or
     # Newton-route compile, and a run on the closed route and the
