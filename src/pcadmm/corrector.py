@@ -35,7 +35,10 @@ def _correct(variant, state, pred, nu, beta):
         shapes = state.a.shape, state.lam.shape, pred.a_tilde.shape, pred.lambda_tilde.shape
         raise ValueError("state shapes {}, {} differ from predictor shapes {}, {}".format(*shapes))
     U = np.concatenate((state.a, state.lam[None]))
-    U -= _template(variant, len(state.a), nu, beta).dot(U - np.concatenate((pred.a_tilde, pred.lambda_tilde[None])))
+    # U - U~ in the buffer of the stacked prediction
+    D = np.concatenate((pred.a_tilde, pred.lambda_tilde[None]))
+    np.subtract(U, D, out=D)
+    U -= _template(variant, len(state.a), nu, beta).dot(D)
     return _trusted(IterateState, a=U[:-1], lam=U[-1])
 
 

@@ -83,7 +83,8 @@ def _check_size(name, value):
 
 def _kron(T, m):
     _check_size("m", m)
-    return np.kron(T, np.eye(m))
+    # kron(T, I_1) is T times 1.0 entry by entry: T's own bits
+    return T.copy() if m == 1 else np.kron(T, np.eye(m))
 
 
 def build_q(variant: str, p: int, m: int) -> np.ndarray:
@@ -155,8 +156,11 @@ def kron_form(T, x):
 
     For T = build_h(variant, p, 1, nu) this is xi' H xi with
     x = xi.reshape(p + 1, m); leading axes evaluate a stack at once.
+    A single (p+1, m) snapshot takes a 2-D path with the same bits.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim == 2:
+        return np.einsum("ij,ij->", x.dot(x.T), T)
     gram = x @ x.swapaxes(-1, -2)
     # einsum contracts without the (..., p+1, p+1) temporary of gram * T.
     return np.einsum("...ij,ij->...", gram, T)

@@ -73,6 +73,19 @@ _VARIANTS = ("pd", "dp")
 _SYM_TOL = 1e-12
 
 
+def _symmetric(H):
+    """max|H - H'| <= _SYM_TOL, absolute or relative to max|H|.  Only a
+    square H has a verdict; validate_problem reports the shape of any
+    other, and a non-finite H, before it reads this one."""
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        return False
+    if (H == H.T).all():  # the common case, at half the cost of max|H - H'|
+        return True
+    with np.errstate(over="ignore", invalid="ignore"):
+        asym = abs(H - H.T).max(initial=0.0)
+        return not (asym > _SYM_TOL and asym > _SYM_TOL * abs(H).max())
+
+
 def _as_vector(v, name="vector"):
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1:
@@ -144,7 +157,9 @@ def _as_aggregates(a, name):
 class Quadratic:
     """theta(x) = 0.5 x'Hx + c'x with H symmetric positive semidefinite.
     ``linear``, derived from H, is True when every entry of H is zero (a
-    NaN counts as nonzero), so theta(x) = c'x."""
+    NaN counts as nonzero), so theta(x) = c'x.  ``symmetric``, derived
+    from H too, is :func:`validate_problem`'s verdict on H's symmetry.
+    Both are set once, so H must not be changed in place afterwards."""
 
     H: np.ndarray
     c: np.ndarray
@@ -154,6 +169,7 @@ class Quadratic:
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "c", _as_vector(self.c, "c"))
         object.__setattr__(self, "linear", not np.count_nonzero(H))
+        object.__setattr__(self, "symmetric", _symmetric(H))
 
     def value(self, x):
         if self.linear:
@@ -395,7 +411,7 @@ def validate_problem(problem: SeparableProblem) -> list:
                 out.append(f"block {i}: quadratic H has shape {th.H.shape}, expected {(blk.n, blk.n)}")
             elif not _finite(th.H):
                 out.append(f"block {i}: quadratic H has non-finite entries")
-            elif (asym := abs(th.H - th.H.T).max(initial=0.0)) > _SYM_TOL and asym > _SYM_TOL * abs(th.H).max():
+            elif not th.symmetric:
                 out.append(f"block {i}: quadratic H is not symmetric")
             if th.c.shape != (blk.n,):
                 out.append(f"block {i}: quadratic c has length {th.c.size}, expected {blk.n}")

@@ -47,23 +47,31 @@ def _predict(variant, problem, state, beta, inner_tol, warm_start, plans):
     aggregates.  Block i then minimizes theta_i(x) + (beta/2)||A_i x - v_i||^2
     with v_i = a_i - sum_{j<i}(a~_j - a_j) + lam/beta, which only needs
     the aggregates, never the raw primal blocks, and its plan's
-    ``value`` gives theta_i at the point found.  For ``"pd"`` the
-    multiplier moves last, from the predicted aggregates.
+    ``value`` gives theta_i at the point found.  The target is carried
+    from block to block as v_{i+1} = a_{i+1} + (v_i - a~_i), which equals
+    that sum up to roundoff.  For ``"pd"`` the multiplier moves last,
+    from the predicted aggregates.  ``plans`` must be one plan per
+    block, each compiled for that block and this ``beta``.
     """
     a, lam = state.a, state.lam
-    if a.shape != (problem.p, problem.m) or lam.shape != (problem.m,):
-        raise ValueError(f"state shapes {a.shape}, {lam.shape} do not fit p={problem.p}, m={problem.m}")
-    if warm_start is not None and len(warm_start) != problem.p:
-        raise ValueError(f"warm_start has {len(warm_start)} blocks, expected p={problem.p}")
+    p = problem.p
+    if a.shape != (p, problem.m) or lam.shape != (problem.m,):
+        raise ValueError(f"state shapes {a.shape}, {lam.shape} do not fit p={p}, m={problem.m}")
+    if warm_start is not None and len(warm_start) != p:
+        raise ValueError(f"warm_start has {len(warm_start)} blocks, expected p={p}")
     if variant == "dp":
         lam = solve_lambda_subproblem(lam, a.sum(axis=0) - problem.b, beta, problem.sense)
     if plans is None:
         plans = compile_blocks(problem, beta)
-    x_tilde, theta_tilde, a_tilde = [], [], np.empty_like(a)
-    drift = np.zeros(problem.m)
-    shift = lam / beta
+    elif len(plans) != p:
+        raise ValueError(f"{len(plans)} plans given, expected one per block, p={p}")
+    x_tilde, theta_tilde, a_tilde = [], np.empty(p), np.empty_like(a)
+    v = a[0] + lam / beta
     for i, blk in enumerate(problem.blocks):
-        plan, v = plans[i], a[i] - drift + shift
+        plan = plans[i]
+        if plan.block is not blk or plan.beta != beta:
+            other = "another block" if plan.block is not blk else f"beta={plan.beta}, not {beta}"
+            raise ValueError(f"block {i}: its plan was compiled for {other}")
         req = SubproblemRequest(blk.theta, blk.set, blk.A, beta, v, blk.ortho_scaled, plan)
         x0 = warm_start[i] if warm_start is not None else None
         try:
@@ -71,12 +79,14 @@ def _predict(variant, problem, state, beta, inner_tol, warm_start, plans):
         except SubproblemError as e:
             raise type(e)(f"block {i}: {e}") from e
         x_tilde.append(xi)
-        theta_tilde.append(plan.value(xi, v, ai))
+        theta_tilde[i] = plan.value(xi, v, ai)
         a_tilde[i] = ai
-        drift += ai - a[i]
+        if i + 1 < p:
+            # a fresh array: the request and the solve's result may hold v
+            v = v - ai
+            v += a[i + 1]
     if variant == "pd":
         lam = solve_lambda_subproblem(lam, a_tilde.sum(axis=0) - problem.b, beta, problem.sense)
-    theta_tilde = np.array(theta_tilde, dtype=float)
     return _trusted(PredictorState, x_tilde=tuple(x_tilde), a_tilde=a_tilde, lambda_tilde=lam, theta_tilde=theta_tilde)
 
 

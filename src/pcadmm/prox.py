@@ -93,11 +93,16 @@ class BlockPlan(NamedTuple):
     ``value(x, v, ax)`` returns theta(x) at such a point, given the v
     and A x of its solve.  The exact route computes it from the normal
     equations, which agrees with ``theta.value(x)`` to roundoff, not bit
-    for bit; every other route returns ``theta.value(x)``."""
+    for bit; every other route returns ``theta.value(x)``.  ``block``
+    is the :class:`~pcadmm.model.BlockSpec` and ``beta`` the penalty
+    (a float) the plan was compiled for, so a sweep can refuse a plan
+    of another block or beta."""
 
     route: str
     solve: Callable
     value: Callable
+    block: BlockSpec
+    beta: float
 
 
 def prox_shrink(v, tau):
@@ -172,6 +177,7 @@ def compile_block(block, beta) -> BlockPlan:
     the scalar 0, so a solve makes no call that its block does not need.
     """
     theta, set_spec, A, n = block.theta, block.set, block.A, block.n
+    beta = float(beta)
     # x -> A x and v -> A'v, elementwise when only the diagonal is nonzero
     if A.shape[0] == n and np.count_nonzero(A) == np.count_nonzero(A.diagonal()):
         image = adjoint = A.diagonal().copy().__mul__
@@ -189,13 +195,12 @@ def compile_block(block, beta) -> BlockPlan:
                 raise SubproblemError(f"custom solve returned shape {x.shape}, expected {(n,)}")
             return x, image(x)
 
-        return BlockPlan("custom", solve_custom, value)
+        return BlockPlan("custom", solve_custom, value, block, beta)
 
     parts = getattr(theta, "parts", None)
     if parts is None:
         raise TypeError(f"unknown objective atom {type(theta).__name__}")
     H, c, tau = parts()
-    beta = float(beta)
     project = getattr(set_spec, "project", None)
     if project is None:
         raise TypeError(f"unknown set {type(set_spec).__name__}")
@@ -217,7 +222,7 @@ def compile_block(block, beta) -> BlockPlan:
             x = project(prox_shrink(z, tau_L) if tau else z)
             return x, image(x)
 
-        return BlockPlan("closed", solve_closed, value)
+        return BlockPlan("closed", solve_closed, value, block, beta)
 
     S = _normal_matrix(A, beta, H)
     if not _finite(S):
@@ -245,16 +250,19 @@ def compile_block(block, beta) -> BlockPlan:
         # of S, rhs and K at most, and the plan keeps no rhs
         del S, U, pivots
         K, x_c = np.ascontiguousarray(rhs[:, :m]), rhs[:, m].copy()
+        half_beta = 0.5 * beta
 
         def solve_exact(req, inner_tol, x0):
-            x = K.dot(np.asarray(req.v, dtype=float)) + x_c
+            x = K.dot(np.asarray(req.v, dtype=float))
+            x += x_c
             return x, image(x)
 
         def value_exact(x, v, ax):
-            # S x = beta A'v - c gives H x = beta A'(v - A x) - c
-            return float(0.5 * beta * ax.dot(v - ax) + 0.5 * c.dot(x))
+            # S x = beta A'v - c gives H x = beta A'(v - A x) - c; Python
+            # floats give numpy's scalar bits without its dispatch
+            return half_beta * float(ax.dot(v - ax)) + 0.5 * float(c.dot(x))
 
-        return BlockPlan("exact", solve_exact, value_exact)
+        return BlockPlan("exact", solve_exact, value_exact, block, beta)
 
     w, delta = _spectrum(S, n)
     lip = float(w[-1])
@@ -273,7 +281,7 @@ def compile_block(block, beta) -> BlockPlan:
             x = _projected_gradient(S, lip, r, tau, project, inner_tol, x0)
         return x, image(x)
 
-    return BlockPlan("pg", solve_pg, value)
+    return BlockPlan("pg", solve_pg, value, block, beta)
 
 
 def _lapack():

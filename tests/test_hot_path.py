@@ -16,7 +16,7 @@ import pytest
 from scipy.linalg import lapack
 
 import pcadmm as pc
-from pcadmm import corrector, model, prox
+from pcadmm import corrector, matrices, model, predictor, prox
 from pcadmm.matrices import build_m
 from pcadmm.prox import SubproblemRequest
 
@@ -147,6 +147,8 @@ HOT_FUNCTIONS = [
     model._norm,
     model.feasibility_residual,
     corrector._correct,
+    predictor._predict,
+    matrices.xi_from_aggregates,
 ]
 HOT_TREES = {f"{fn.__module__}.{fn.__qualname__}": _parse(fn) for fn in HOT_FUNCTIONS}
 HOT_TREES.update((f"pcadmm.prox.compile_block.{node.name}", node) for node in _compile_block_closures())

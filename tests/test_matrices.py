@@ -208,3 +208,43 @@ def test_factories_are_kron_of_their_one_row_builds():
             if name in ("H", "G"):
                 x = rng.standard_normal((p + 1) * m)
                 assert pc.kron_form(T, x.reshape(p + 1, m)) == pytest.approx(x @ dense @ x, rel=1e-13)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_kron_form_of_one_snapshot_is_its_stacked_form_bit_for_bit():
+    # run's dist_H takes the 2-D path, contraction_check the stacked one
+    rng = np.random.default_rng(29)
+    draws = 0
+    for variant, p in itertools.product(("pd", "dp"), range(1, 9)):
+        for m in (1, 2, 5, 13, 64, 200):
+            nu = DEFAULT_NU_LIST[int(rng.integers(len(DEFAULT_NU_LIST)))]
+            for T in matrices._templates(variant, p, nu)[1:]:
+                x = rng.standard_normal((p + 1, m)) * 10.0 ** rng.integers(-3, 4)
+                if rng.random() < 0.4:
+                    x[rng.integers(p + 1)] = rng.choice([np.inf, -np.inf, np.nan, 1e300], size=m)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    one, stacked = pc.kron_form(T, x), pc.kron_form(T, x[None])
+                assert stacked.shape == (1,)
+                assert _same_bits(one, stacked[0]), (variant, p, m)
+                draws += 1
+    assert draws == 2 * 8 * 6 * 2
+
+
+def test_kron_with_one_row_is_the_template_bit_for_bit():
+    # _kron(T, 1) copies T instead of calling np.kron, down to the signs
+    # of zeros and NaN
+    rng = np.random.default_rng(30)
+    for p in range(1, 9):
+        T = rng.standard_normal((p + 1, p + 1))
+        T[rng.random(T.shape) < 0.3] = 0.0
+        T[rng.random(T.shape) < 0.2] = -0.0
+        T[0, -1], T[-1, 0] = np.nan, -np.inf
+        out = matrices._kron(T, 1)
+        assert out is not T and _same_bits(out, np.kron(T, np.eye(1)))
+    for variant, nu in itertools.product(("pd", "dp"), DEFAULT_NU_LIST):
+        for T in matrices._templates(variant, 4, nu):
+            assert _same_bits(matrices._kron(T, 1), np.kron(T, np.eye(1)))

@@ -260,6 +260,34 @@ def test_validate_accepts_a_scaled_symmetric_quadratic(scale):
     assert any("symmetric" in v for v in pc.validate_problem(prob))
 
 
+def _old_symmetry_verdict(H):
+    # the verdict written out: max|H - H'| against 1e-12, absolute and relative
+    asym = abs(H - H.T).max(initial=0.0)
+    return not (asym > 1e-12 and asym > 1e-12 * abs(H).max())
+
+
+def test_the_symmetry_verdict_is_derived_once_per_quadratic(monkeypatch):
+    rng = np.random.default_rng(7)
+    cases = [np.zeros((0, 0)), np.eye(3), np.array([[2.0, 1e-13], [0.0, 1.0]]), np.array([[2.0, 1e-11], [0.0, 1.0]])]
+    for scale in (1e-14, 1.0, 1e6):
+        B = rng.standard_normal((6, 6))
+        cases += [scale * (B + B.T), scale * B, scale * (B + B.T) + 1e-12 * scale * np.triu(B, 1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for H in cases:
+            assert pc.Quadratic(H, np.zeros(len(H))).symmetric == _old_symmetry_verdict(H)
+        # shape and finiteness are reported first; deriving gives no warning
+        for H in (np.ones((2, 3)), np.array([[1.0, np.inf], [-np.inf, 1.0]]), np.full((2, 2), np.nan), np.ones(2)):
+            pc.Quadratic(H, np.zeros(2))
+    # validate_problem reads the verdict and does not recompute it
+    theta = pc.Quadratic(np.eye(2), np.zeros(2))
+    prob = pc.SeparableProblem(blocks=(pc.BlockSpec(theta=theta, A=np.ones((1, 2))),), b=np.zeros(1))
+    monkeypatch.setattr(model, "_symmetric", lambda H: pytest.fail("validate_problem recomputed the verdict"))
+    assert pc.validate_problem(prob) == []
+    object.__setattr__(theta, "symmetric", False)
+    assert pc.validate_problem(prob) == ["block 0: quadratic H is not symmetric"]
+
+
 def _violations(*blocks):
     return pc.validate_problem(pc.SeparableProblem(blocks=blocks, b=[0.0]))
 

@@ -188,3 +188,80 @@ def test_objective_value_sums_given_values_in_block_order():
     with pytest.raises(ValueError, match="expected 3 block values, got 2"):
         pc.objective_value(prob, None, values[:2])
     assert pc.PredictorState((np.zeros(1),), np.zeros((1, 1)), np.zeros(1)).theta_tilde is None
+
+
+def _spy_problem(seed, p=4, m=3):
+    # Custom blocks that record the target v of every request they get
+    rng = np.random.default_rng(seed)
+    seen = [[] for _ in range(p)]
+
+    def atom(i, A):
+        def solve(req, inner_tol, x0):
+            seen[i].append(req.v.copy())
+            return np.tanh(A.T.dot(req.v))
+
+        return pc.Custom(value=lambda x: float(x.dot(x)), solve=solve)
+
+    blocks = []
+    for i in range(p):
+        A = rng.standard_normal((m, 2 + i))
+        blocks.append(pc.BlockSpec(theta=atom(i, A), set=pc.Free(), A=A))
+    return pc.SeparableProblem(blocks=tuple(blocks), b=rng.standard_normal(m)), seen
+
+
+@pytest.mark.parametrize("predict", [pc.predict_pd, pc.predict_dp])
+@pytest.mark.parametrize("beta", [1.0, 1.7])
+def test_the_carried_target_is_the_gauss_seidel_target(predict, beta):
+    # the sweep carries v_{i+1} = a_{i+1} + (v_i - a~_i); it must be
+    # v_i = a_i - sum_{j<i}(a~_j - a_j) + lam/beta up to roundoff, with
+    # the multiplier the blocks see: the incoming one for pd, the fresh
+    # one for dp
+    prob, seen = _spy_problem(3)
+    rng = np.random.default_rng(4)
+    plans = pc.compile_blocks(prob, beta)
+    for _ in range(5):
+        state = pc.IterateState(rng.standard_normal((prob.p, prob.m)), rng.standard_normal(prob.m))
+        for record in seen:
+            record.clear()
+        pred = predict(prob, state, beta, 1e-10, plans=plans)
+        lam = state.lam if predict is pc.predict_pd else pred.lambda_tilde
+        for i in range(prob.p):
+            want = state.a[i] - (pred.a_tilde[:i] - state.a[:i]).sum(axis=0) + lam / beta
+            (got,) = seen[i]
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
+
+
+def test_plans_of_another_beta_are_refused():
+    # unchecked, such plans give an a~ 0.35 off with no error
+    prob, ref = pc.gen_eq_qp(3, [6, 5, 4], 3, seed=5)
+    state = pc.IterateState(np.asarray(ref.a) + 0.1, ref.lam - 0.2)
+    with pytest.raises(ValueError, match=r"block 0: its plan was compiled for beta=1.0, not 2.0"):
+        pc.predict_pd(prob, state, 2.0, 1e-10, plans=pc.compile_blocks(prob, 1.0))
+    pred = pc.predict_pd(prob, state, 2, 1e-10, plans=pc.compile_blocks(prob, 2.0))  # an int beta is that float
+    assert pred.a_tilde.shape == (3, 3)
+
+
+def test_plans_of_another_problem_of_the_same_shape_are_refused():
+    # unchecked, such a plan gives an a~ 0.47 off with no error
+    prob = pc.gen_eq_qp(3, [6, 5, 4], 3, seed=5)[0]
+    other = pc.gen_eq_qp(3, [6, 5, 4], 3, seed=6)[0]
+    plans = pc.compile_blocks(prob, 1.0)
+    plans[2] = pc.compile_blocks(other, 1.0)[2]
+    for predict in (pc.predict_pd, pc.predict_dp):
+        with pytest.raises(ValueError, match=r"block 2: its plan was compiled for another block"):
+            predict(prob, zero_state(prob), 1.0, 1e-10, plans=plans)
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_a_plan_list_of_the_wrong_length_is_refused(count):
+    # unchecked, a short list raises a bare IndexError
+    prob = pc.gen_eq_qp(3, [6, 5, 4], 3, seed=5)[0]
+    plans = (pc.compile_blocks(prob, 1.0) * 2)[:count]
+    with pytest.raises(ValueError, match=rf"{count} plans given, expected one per block, p=3"):
+        pc.predict_dp(prob, zero_state(prob), 1.0, 1e-10, plans=plans)
+
+
+def test_a_plan_records_its_block_and_beta():
+    prob = pc.gen_eq_qp(2, [6, 5], 3, seed=5)[0]
+    for blk, plan in zip(prob.blocks, pc.compile_blocks(prob, 3)):
+        assert plan.block is blk and plan.beta == 3.0 and type(plan.beta) is float
