@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .matrices import build_m
-from .model import IterateState, PredictorState, _trusted
+from .model import IterateState, PredictorState, _check_beta, _trusted
 
 __all__ = ["correct_pd", "correct_dp"]
 
@@ -24,6 +24,7 @@ __all__ = ["correct_pd", "correct_dp"]
 def _template(variant, p, nu, beta):
     """D^-1 T D with D = diag(sqrt(beta) 1_p, 1/sqrt(beta)); read-only, as it is shared.
     Only T[p, :p] scales: T[:p, p] is zero in both variants."""
+    _check_beta(beta)
     T = build_m(variant, p, 1, nu)
     T[p, :p] *= beta
     T.flags.writeable = False

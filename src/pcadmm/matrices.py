@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SeparableProblem, _check_nu, _check_variant
+from .model import SeparableProblem, _check_beta, _check_nu, _check_variant
 
 __all__ = [
     "ClosedFormMismatchError", "FrameworkReport", "build_p", "build_q", "build_m", "build_h", "kron_form",
@@ -62,8 +62,7 @@ class FrameworkReport:
 def build_p(problem: SeparableProblem, beta: float) -> np.ndarray:
     """Block-diagonal scaling that maps a stacked point (x_1..x_p, lam)
     to the scaled aggregates (sqrt(beta) A_i x_i, lam/sqrt(beta))."""
-    if not beta > 0:
-        raise ValueError("beta must be positive")
+    _check_beta(beta)
     m = problem.m
     sq = np.sqrt(beta)
     n_total = sum(blk.n for blk in problem.blocks)
@@ -250,5 +249,6 @@ def check_skew(problem: SeparableProblem, w1, w2) -> float:
 def xi_from_aggregates(a, lam, beta) -> np.ndarray:
     """Scaled-aggregate coordinates (sqrt(beta) a_1, ..., lam/sqrt(beta))
     built straight from the (p, m) aggregates."""
+    _check_beta(beta)
     sq = math.sqrt(beta)
     return np.concatenate((sq * np.asarray(a, dtype=float).ravel(), np.asarray(lam, dtype=float) / sq))

@@ -125,6 +125,11 @@ def _check_variant(variant):
         raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
 
 
+def _check_beta(beta):
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta!r}")
+
+
 def _check_nu(nu):
     if not 0.0 < nu < 1.0:
         raise ValueError("nu must lie in (0,1)")
@@ -369,8 +374,7 @@ class SolverConfig:
 
     def __post_init__(self):
         _check_variant(self.variant)
-        if not (math.isfinite(self.beta) and self.beta > 0):
-            raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
+        _check_beta(self.beta)
         _check_nu(self.nu)
         if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")

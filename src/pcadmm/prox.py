@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .model import BlockSpec, Custom, Free, GE, NonNeg, _finite, _norm
+from .model import _SENSES, BlockSpec, Custom, Free, GE, NonNeg, _check_beta, _finite, _norm
 
 __all__ = [
     "BlockPlan",
@@ -69,8 +69,9 @@ class NonConvexError(SubproblemError, ValueError):
 class SubproblemRequest(NamedTuple):
     """One block minimization: min over ``set`` of theta(x) + (beta/2)||Ax - v||^2.
 
-    ``v`` already carries the Gauss-Seidel drift of the earlier blocks
-    and the multiplier term, so the request is self-contained.
+    ``v`` is the block's Gauss-Seidel target, which already carries the
+    earlier blocks' updates and the multiplier term, so the request is
+    self-contained.
     ``ortho_scaled`` copies the block's derived flag for observers such
     as tracers; the solve never reads it, and its route comes from A.
     ``plan`` is the block's :func:`compile_block` plan, or None to
@@ -138,16 +139,14 @@ def compile_block(block, beta) -> BlockPlan:
     * ``block.ortho_scaled`` (A'A = cI) with H absent or zero
       (``Quadratic.linear``), so S = L*I, route ``closed``: x is the
       single prox step ``project_set(prox_shrink(r/L, tau/L), set)``;
-    * quadratic atom, free set, route ``exact``: one Cholesky
-      factorization of S (LAPACK potrf, in place) and one solve with it
-      (potrs, in place) give K = S^-1 beta A' and x_c = -S^-1 c, so
-      x = K v + x_c.  A failed factorization, or a pivot with
-      U_jj^2 <= n eps S_jj (S singular to working precision, though
-      potrf accepted it on roundoff), raises :class:`NonConvexError` by
-      the pg route's test below on a rebuilt S, else
-      :class:`SingularSystemError`.  Its ``value`` is theta(x) =
-      beta/2 a'(v - a) + c'x/2 with a = A x, from H x = beta A'(v - a) - c:
-      two dots of length m and n instead of a product with the n x n H;
+    * quadratic atom, free set, route ``exact``: S is factored once by
+      :func:`_cholesky`, and one potrs solve with the factor (in place)
+      gives K = S^-1 beta A' and x_c = -S^-1 c, so x = K v + x_c.  When
+      S has no factor, the pg route's test below on a rebuilt S raises
+      :class:`NonConvexError`, else :class:`SingularSystemError`.  Its
+      ``value`` is theta(x) = beta/2 a'(v - a) + c'x/2 with a = A x,
+      from H x = beta A'(v - a) - c: two dots of length m and n instead
+      of a product with the n x n H;
     * anything else, route ``pg``: the spectrum w of S is computed once;
       an eigenvalue below -delta*max|w| (delta = 1e-12*n) raises
       :class:`NonConvexError`, and lip = w[-1] is kept.  On ``NonNeg``
@@ -156,10 +155,9 @@ def compile_block(block, beta) -> BlockPlan:
       and on every other set, a projected-gradient loop runs from
       ``x0``.  Either way the point returned has a gradient-map norm
       safely below ``inner_tol``, or is all NaN when r is not finite.
-      The plan keeps the free set of its last Newton step and that
-      set's potrf Cholesky factor, so a warm-started step on the same
-      free set copies and factors no sub-matrix of S, and solves with
-      one potrs.
+      The plan keeps the free set of its last Newton step with that
+      set's :func:`_cholesky` factor, so a warm-started step on the same
+      free set factors nothing and solves with one potrs.
 
     ``scipy.linalg`` is imported at the first exact or Newton-route
     compile, not with the package.
@@ -178,6 +176,7 @@ def compile_block(block, beta) -> BlockPlan:
     """
     theta, set_spec, A, n = block.theta, block.set, block.A, block.n
     beta = float(beta)
+    _check_beta(beta)
     # x -> A x and v -> A'v, elementwise when only the diagonal is nonzero
     if A.shape[0] == n and np.count_nonzero(A) == np.count_nonzero(A.diagonal()):
         image = adjoint = A.diagonal().copy().__mul__
@@ -229,26 +228,20 @@ def compile_block(block, beta) -> BlockPlan:
         raise SubproblemError("normal matrix H + beta*A'A is not finite")
     if H is not None and isinstance(set_spec, Free):
         m = A.shape[0]
-        lapack = _lapack()
-        diag = S.diagonal().copy()
-        # S is symmetric, so S.T is S in Fortran order: potrf factors it
-        # in place, and potrs solves the Fortran-ordered rhs in place
-        U, info = lapack.dpotrf(S.T, clean=0, overwrite_a=1)
-        # a pivot with U_jj^2 <= n eps S_jj: S is singular to working
-        # precision, though potrf accepted it on roundoff (Higham, 2002,
-        # ch. 10)
-        pivots = U.diagonal()
-        if info or np.any(pivots * pivots <= n * np.finfo(float).eps * diag):
+        U = _cholesky(S)
+        if U is None:
             # U overwrote S; an indefinite S is not convex, as on the pg route
             _spectrum(_normal_matrix(A, beta, H), n)
             raise SingularSystemError("normal matrix H + beta*A'A is singular")
+        from scipy.linalg.lapack import dpotrs
+
         rhs = np.empty((n, m + 1), order="F")
         np.multiply(A.T, beta, out=rhs[:, :m])
         np.negative(c, out=rhs[:, m])
-        lapack.dpotrs(U, rhs, overwrite_b=1)
+        dpotrs(U, rhs, overwrite_b=1)  # in place: rhs is Fortran-ordered
         # C-ordered copies, made once S is freed, so the peak holds two
         # of S, rhs and K at most, and the plan keeps no rhs
-        del S, U, pivots
+        del S, U
         K, x_c = np.ascontiguousarray(rhs[:, :m]), rhs[:, m].copy()
         half_beta = 0.5 * beta
 
@@ -267,14 +260,17 @@ def compile_block(block, beta) -> BlockPlan:
     w, delta = _spectrum(S, n)
     lip = float(w[-1])
     newton = isinstance(set_spec, NonNeg) and w[0] > delta * lip
-    cache = _FreeSetFactor() if newton else None
+    if newton:
+        from scipy.linalg.lapack import dpotrs
+
+        last = [(None, None)]
 
     def solve_pg(req, inner_tol, x0):
         r = target(req.v)
         x = None
         if newton:
             # tau ||x||_1 = tau 1'x on the orthant
-            x = _active_set_newton(S, lip, r - tau if tau else r, project, inner_tol, x0, cache)
+            x = _active_set_newton(S, lip, r - tau if tau else r, project, inner_tol, x0, last, dpotrs)
         if x is None and not np.isfinite(r).all():
             x = np.full(n, np.nan)  # no minimizer: let the run stop with non_finite
         elif x is None:
@@ -284,13 +280,22 @@ def compile_block(block, beta) -> BlockPlan:
     return BlockPlan("pg", solve_pg, value, block, beta)
 
 
-def _lapack():
-    """scipy's LAPACK wrappers, imported on first use: importing
-    ``scipy.linalg`` takes about 0.2 s, which ``import pcadmm`` and a
-    problem with no Cholesky solve never pay."""
+def _cholesky(S):
+    """The upper Cholesky factor U of the symmetric S, or None when S is
+    not positive definite to working precision: LAPACK's potrf fails, or
+    a pivot has U_jj^2 <= n eps S_jj, so S is singular to working
+    precision though potrf accepted it on roundoff (Higham, 2002,
+    ch. 10).  S.T is S in Fortran order, so potrf factors it in place:
+    U is S's storage, and S is overwritten either way."""
     from scipy.linalg import lapack
 
-    return lapack
+    # n eps S_jj, a new array before potrf overwrites S; ulp(1) is eps
+    floor = S.diagonal() * (S.shape[0] * math.ulp(1.0))
+    U, info = lapack.dpotrf(S.T, clean=0, overwrite_a=1)
+    pivots = U.diagonal()
+    if info or (pivots * pivots <= floor).any():
+        return None
+    return U
 
 
 def _normal_matrix(A, beta, H):
@@ -336,22 +341,7 @@ def _prox_step(lip, grad, tau, project, x):
     return project(prox_shrink(z, step * tau) if tau else z)
 
 
-class _FreeSetFactor:
-    """The free set F of a Newton solve's last step, as the key
-    ``free.tobytes()``, and potrf's Cholesky factor of S_FF, in one
-    tuple, ``last``, so a reader never pairs a key with another set's
-    factor.  LAPACK's ``dpotrf`` and ``dpotrs`` are bound here, once per
-    plan, not looked up on every solve."""
-
-    __slots__ = ("potrf", "potrs", "last")
-
-    def __init__(self):
-        lapack = _lapack()
-        self.potrf, self.potrs = lapack.dpotrf, lapack.dpotrs
-        self.last = (None, None)
-
-
-def _active_set_newton(S, lip, r, project, inner_tol, x0, cache=None):
+def _active_set_newton(S, lip, r, project, inner_tol, x0, last=None, potrs=None):
     """Primal-dual active-set method (Hintermuller, Ito & Kunisch, 2002)
     for min 0.5 x'Sx - r'x over x >= 0 with S positive definite.
 
@@ -363,19 +353,20 @@ def _active_set_newton(S, lip, r, project, inner_tol, x0, cache=None):
     forever.  When the step has no negative coordinate, the clipped
     step is the step, and the test reuses its mu as the gradient.
     Returns None after 2n + 2 steps without a certified point, at the
-    first step whose test is NaN (r not finite), or when potrf finds an
-    S_FF that is not positive definite to working precision.
+    first step whose test is NaN (r not finite), or when :func:`_cholesky`
+    finds an S_FF that is not positive definite to working precision.
 
-    Each new free set F is factored once by potrf, on the Fortran view
-    of the copy S_FF, and each step solves with the factor by one potrs.
-    ``cache`` is the calling plan's :class:`_FreeSetFactor`: a step on
-    the free set of the one before, as from a warm start, reuses its
-    factor.  A direct call without one starts from an empty cache, so
-    it returns a plan's bits.
+    Each new free set F is factored once, by :func:`_cholesky` on the
+    copy S_FF, and each step solves with the factor by one potrs.  A
+    plan passes its bound ``dpotrs`` and ``last``, a one-item list that
+    holds its last step's ``(free.tobytes(), factor)``, so a step on the
+    free set of the one before, as from a warm start, reuses the factor;
+    a direct call without them starts with none and gives a plan's bits.
     """
-    if cache is None:
-        cache = _FreeSetFactor()
-    potrf, potrs = cache.potrf, cache.potrs
+    if last is None:
+        from scipy.linalg.lapack import dpotrs as potrs
+
+        last = [(None, None)]
     n = r.shape[0]
     x = project(np.zeros(n) if x0 is None else np.asarray(x0, dtype=float))
     active = S.dot(x) - r > lip * x
@@ -383,13 +374,12 @@ def _active_set_newton(S, lip, r, project, inner_tol, x0, cache=None):
     for _ in range(2 * n + 2):
         free = ~active
         key = free.tobytes()
-        last_key, factor = cache.last
+        last_key, factor = last[0]
         if key != last_key:
-            # S_FF is a symmetric copy: factor its Fortran view in place
-            factor, info = potrf(S[free][:, free].T, clean=0, overwrite_a=1)
-            if info:
+            factor = _cholesky(S[free][:, free])
+            if factor is None:
                 return None
-            cache.last = (key, factor)
+            last[0] = (key, factor)
         y = np.zeros(n)
         if factor.size:  # potrs rejects an empty right-hand side
             # (lower=0, overwrite_b=1) by position: f2py parses keywords
@@ -445,8 +435,9 @@ def solve_lambda_subproblem(lambda_ref, residual, beta, sense):
     primal-first order, current aggregates for the multiplier-first
     order).
     """
-    if not beta > 0:
-        raise ValueError("beta must be positive")
+    _check_beta(beta)
+    if sense not in _SENSES:
+        raise ValueError(f"sense must be one of {_SENSES}, got {sense!r}")
     lam = np.asarray(lambda_ref, dtype=float) - beta * np.asarray(residual, dtype=float)
     if sense == GE:
         return np.maximum(lam, 0.0)

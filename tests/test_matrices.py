@@ -117,7 +117,7 @@ def test_factories_reject_sizes_below_one(call, name):
 def test_scaling_and_splitting_reject_bad_input():
     prob = pc.SeparableProblem(blocks=(pc.BlockSpec(theta=pc.Zero(), A=[[2.0, 1.0]]),), b=[0.0])
     for beta in (0.0, -1.0):
-        with pytest.raises(ValueError, match="^beta must be positive$"):
+        with pytest.raises(ValueError, match="^beta must be positive and finite, got "):
             pc.build_p(prob, beta)
     with pytest.raises(ValueError, match=r"^stacked point has length 2, expected 3$"):
         pc.split_stacked(prob, np.zeros(2))

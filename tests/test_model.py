@@ -402,6 +402,32 @@ def test_solver_config_validation():
     assert pc.SolverConfig(max_iters=np.int64(3), tol=0.0).max_iters == 3
 
 
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.inf, math.nan])
+def test_every_entry_point_rejects_a_beta_that_is_not_positive_and_finite(beta):
+    from pcadmm import matrices
+
+    prob = two_block_problem()
+    state = pc.IterateState(np.zeros((prob.p, prob.m)), np.zeros(prob.m))
+    pred = pc.PredictorState([np.zeros(blk.n) for blk in prob.blocks], state.a, state.lam)
+    weighted_l1 = pc.BlockSpec(theta=pc.WeightedL1(0.5), set=pc.Free(), A=np.ones((2, 1)))
+    exact = pc.BlockSpec(theta=pc.Quadratic(np.eye(1), [0.0]), set=pc.Free(), A=np.ones((2, 1)))
+    calls = [
+        lambda: pc.SolverConfig(beta=beta),
+        lambda: pc.compile_block(weighted_l1, beta),
+        lambda: pc.compile_block(exact, beta),
+        lambda: pc.predict_pd(prob, state, beta, 1e-10),
+        lambda: pc.correct_pd(state, pred, 0.9, beta),
+        lambda: pc.solve_lambda_subproblem(state.lam, state.lam, beta, pc.EQ),
+        lambda: pc.build_p(prob, beta),
+        lambda: matrices.xi_from_aggregates(state.a, state.lam, beta),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a check, not a division, rejects it
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^beta must be positive and finite, got {beta!r}$"):
+                call()
+
+
 def test_solve_flag_defaults_are_the_solver_config_defaults():
     args = cli._build_parser().parse_args(["solve", "--problem", "p.json"])
     defaults = {f.name: f.default for f in dataclasses.fields(pc.SolverConfig) if f.name != "record_xi"}

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import lapack
 
 import pcadmm as pc
@@ -284,6 +285,8 @@ def test_lambda_subproblem():
     np.testing.assert_array_equal(pc.solve_lambda_subproblem(lam, np.zeros(2), 1.0, pc.EQ), lam)
     with pytest.raises(ValueError):
         pc.solve_lambda_subproblem(lam, np.zeros(2), 0.0, pc.EQ)
+    with pytest.raises(ValueError, match=r"^sense must be one of \('eq', 'ge'\), got 'le'$"):
+        pc.solve_lambda_subproblem(lam, np.zeros(2), 1.0, "le")
 
 
 def _plan_cases():
@@ -770,18 +773,78 @@ def test_a_warm_started_plan_factors_once_per_free_set(monkeypatch):
 
 
 def test_a_free_set_that_potrf_rejects_falls_back_to_projected_gradient(monkeypatch):
-    # potrf reporting a non-positive pivot on S_FF ends the Newton solve
-    # with no point, and the projected-gradient loop certifies one
-    rng = np.random.default_rng(73)
-    n, inner_tol = 6, 1e-10
-    blk = _nonneg_block(rng, n, 40.0)
-    monkeypatch.setattr(lapack, "dpotrf", lambda a, **kwargs: (a, 1))
-    plan = pc.compile_block(blk, 1.0)
-    req, x_star = _planted_request(blk, rng, np.arange(n) < 4)
-    x, _ = plan.solve(req, inner_tol, None)
-    S, _, r, _ = _normal_form(blk.theta, blk.A, 1.0, req.v)
-    _assert_nonneg_certificate(S, r, 0.0, x, inner_tol, rng)
-    np.testing.assert_allclose(x, x_star, atol=1e-8)
+    # potrf reporting a non-positive pivot on S_FF, or accepting S_FF
+    # with a zero pivot, ends the Newton solve with no point, and the
+    # projected-gradient loop certifies one; no potrs applies the factor
+    potrf = lapack.dpotrf
+
+    def zero_pivot(a, **kwargs):
+        U, _ = potrf(a, **kwargs)
+        U[-1, -1] = 0.0
+        return U, 0
+
+    for patched in (lambda a, **kwargs: (a, 1), zero_pivot):
+        rng = np.random.default_rng(73)
+        n, inner_tol = 6, 1e-10
+        blk = _nonneg_block(rng, n, 40.0)
+        monkeypatch.setattr(lapack, "dpotrf", patched)
+        plan = pc.compile_block(blk, 1.0)
+        req, x_star = _planted_request(blk, rng, np.arange(n) < 4)
+        x, _ = plan.solve(req, inner_tol, None)
+        S, lip, r, _ = _normal_form(blk.theta, blk.A, 1.0, req.v)
+        solved = _record_calls(monkeypatch, "dpotrs", lapack)
+        assert prox._active_set_newton(S, lip, r, blk.set.project, inner_tol, None) is None
+        assert not solved
+        _assert_nonneg_certificate(S, r, 0.0, x, inner_tol, rng)
+        np.testing.assert_allclose(x, x_star, atol=1e-8)
+        np.testing.assert_array_equal(x, prox._projected_gradient(S, lip, r, 0.0, blk.set.project, inner_tol, None))
+
+
+def test_newton_returns_none_at_its_step_cap(monkeypatch):
+    # no step can certify a point at inner_tol = 1e-300, so the method
+    # stops after 2n + 2 steps, each one potrs solve, with no point
+    rng = np.random.default_rng(79)
+    n = 5
+    blk = _nonneg_block(rng, n, 4.0)
+    req, _ = _planted_request(blk, rng, np.arange(n) < 3)
+    S, lip, r, _ = _normal_form(blk.theta, blk.A, 1.0, req.v)
+    solved = _record_calls(monkeypatch, "dpotrs", lapack)
+    assert prox._active_set_newton(S, lip, r, blk.set.project, 1e-300, None) is None
+    assert len(solved) == 2 * n + 2
+
+
+def _spd_matrix(rng, n, low):
+    # exactly symmetric, as _cholesky factors the lower triangle and
+    # scipy the upper
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    S = (Q * np.geomspace(low, 10.0, n)) @ Q.T
+    return (S + S.T) / 2
+
+
+@pytest.mark.parametrize("n", [1, 4, 24])
+def test_cholesky_is_scipys_upper_factor_in_place(n):
+    S = _spd_matrix(np.random.default_rng(n), n, 1e-3)
+    want = scipy.linalg.cholesky(S)
+    work = S.copy()
+    U = prox._cholesky(work)
+    assert np.shares_memory(U, work)
+    assert np.array_equal(np.triu(U), want)
+
+
+def test_cholesky_of_an_empty_matrix_is_empty():
+    U = prox._cholesky(np.zeros((0, 0)))
+    assert U is not None and U.shape == (0, 0)
+
+
+def test_cholesky_rejects_indefinite_and_numerically_singular_matrices():
+    S = _spd_matrix(np.random.default_rng(83), 5, 1.0)
+    S -= 2.0 * np.eye(5)  # smallest eigenvalue -1
+    assert prox._cholesky(S) is None
+    # [[2, 2], [2, 2]]: potrf accepts it on roundoff, with a last pivot
+    # of about 2e-8, which the pivot test rejects
+    S = np.full((2, 2), 2.0)
+    assert lapack.dpotrf(S)[1] == 0
+    assert prox._cholesky(S) is None
 
 
 @pytest.mark.parametrize("cond", [4.0, 40.0])
